@@ -26,6 +26,19 @@ the shared problem heap was cheap and the static evaluator dominated):
   Connect-4, Othello) supports because positions are plain immutable
   dataclasses over ints and tuples.
 
+The heap, not the executor, picks every task.  The coordinator keeps at
+most :data:`IN_FLIGHT_PER_WORKER` tasks in flight per worker (one
+running, one queued); at that bound it waits for a result instead of
+popping more work.  The paper's processors take a node from the heap
+only when they are free, so the primary queue's depth-first order and
+the speculative queue's ranking decide what runs next.  Flooding the
+executor instead would hand that choice to its unbounded FIFO queue:
+the coordinator would drain both queues long before any result
+returned, tasks would wait a whole search's worth in line, and tasks a
+cutoff had made moot would still run.  The second slot per worker hides
+the submit-to-result round trip, which would otherwise idle each worker
+once per task.
+
 Semantics match the simulator's documented deviations: subtree searches
 run against the window captured at dispatch, results of subtrees
 orphaned by a cutoff are discarded on arrival (their node counts are
@@ -70,6 +83,7 @@ from ..search.stats import SearchStats
 from ..search.transposition import Bound, TranspositionTable, TTEntry
 
 __all__ = [
+    "IN_FLIGHT_PER_WORKER",
     "MultiprocResult",
     "PersistentPool",
     "ScalingPoint",
@@ -81,6 +95,12 @@ __all__ = [
     "format_scaling_table",
     "preferred_start_method",
 ]
+
+
+#: Tasks the coordinator keeps in flight per worker: one running and one
+#: queued, so a worker never waits a round trip for its next task while
+#: the heap still chooses each task as late as possible.
+IN_FLIGHT_PER_WORKER = 2
 
 
 def preferred_start_method() -> str:
@@ -551,7 +571,10 @@ def multiproc_er(
             is measured, not simulated.
         executor: optional existing pool to reuse (it is not shut down);
             must have at least ``n_workers`` workers for the loss
-            accounting to be meaningful.
+            accounting to be meaningful.  At most
+            ``IN_FLIGHT_PER_WORKER * n_workers`` tasks are in flight, so
+            an executor with more than ``n_workers`` processes leaves
+            the extra processes idle.
         start_method: multiprocessing start method; default prefers
             ``fork``.
         timeout: seconds to wait for any single in-flight task batch
@@ -931,11 +954,15 @@ def multiproc_er(
                 raise SimulationError(f"worker process failed: {error!r}") from error
             apply_result(record, future.result())
 
+    max_in_flight = IN_FLIGHT_PER_WORKER * n_workers
     try:
         while not ctx.done:
             drain(block=False)
             if ctx.done:
                 break
+            if len(pending) >= max_in_flight:
+                drain(block=True)
+                continue
             node, from_spec = ctx.pop_work()
             if node is None:
                 if not pending:

@@ -15,6 +15,7 @@ from repro.games.explicit import FIGURE6, FIGURE7, ExplicitTree
 from repro.games.othello.game import O1_ROOT, Othello
 from repro.games.tictactoe import TicTacToe
 from repro.parallel.multiproc import (
+    IN_FLIGHT_PER_WORKER,
     MultiprocResult,
     default_serial_depth,
     format_scaling_table,
@@ -37,17 +38,44 @@ def pool():
     executor.shutdown(wait=True, cancel_futures=True)
 
 
+class _InFlightRecorder:
+    """Executor wrapper recording the peak count of tasks submitted but
+    whose result the coordinator has not yet received."""
+
+    def __init__(self, executor):
+        self._executor = executor
+        self.in_flight = 0
+        self.peak = 0
+
+    def submit(self, fn, *args):
+        future = self._executor.submit(fn, *args)
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        future.result = self._received(future.result)
+        return future
+
+    def _received(self, result):
+        def wrapped(timeout=None):
+            self.in_flight -= 1
+            return result(timeout)
+
+        return wrapped
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_matches_negamax_on_random_trees(self, pool, n_workers):
         for seed in range(3):
             problem = random_problem(3, 4, seed)
             truth = negamax(problem).value
+            recorder = _InFlightRecorder(pool)
             result = multiproc_er(
-                problem, n_workers, config=ERConfig(serial_depth=2), executor=pool
+                problem, n_workers, config=ERConfig(serial_depth=2), executor=recorder
             )
             assert result.value == truth
             assert result.stats.nodes_generated > 0
+            # The heap, not the executor's queue, picks each task.
+            assert 0 < recorder.peak <= IN_FLIGHT_PER_WORKER * n_workers
 
     def test_default_config_offloads_subtrees(self, pool):
         problem = random_problem(3, 5, seed=1)
