@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from .cache import TT_MODES, make_tt
 from .core.er_parallel import ERConfig, parallel_er
 from .core.serial_er import er_search
-from .parallel.multiproc import PersistentPool, multiproc_er
+from .parallel.multiproc import EnginePool, multiproc_er
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .errors import SearchError
 from .games.base import Game, Position, RootedGame, SearchProblem
@@ -60,18 +60,18 @@ class EngineConfig:
             For ``er``/``parallel-er`` one table persists across the
             engine's iterative-deepening iterations and move choices, so
             shallow iterations seed the deeper ones; ``multiproc-er``
-            builds its table per search call unless ``pool`` is set.
+            builds a short-lived pool, table included, per search call
+            unless ``pool`` is set.
             Ignored by ``alphabeta``.
-        pool: persistent worker pool
-            (:class:`~repro.parallel.multiproc.PersistentPool`, e.g.
-            :class:`repro.serve.pool.EnginePool`) for ``multiproc-er``.
+        pool: caller-owned worker pool
+            (:class:`~repro.parallel.multiproc.EnginePool`) for
+            ``multiproc-er``, with exactly ``n_processors`` workers.
             When set, every subtree search of every deepening iteration
             and every :meth:`GameEngine.choose` call runs on the same
-            warm worker processes and shared caches — the "one engine
-            per search" spawn-and-teardown cycle disappears, which is
-            what lets one engine serve many requests.  The pool's cache
-            configuration replaces ``tt``; the caller owns the pool's
-            lifetime.
+            warm worker processes and shared caches instead of a
+            short-lived pool per search, which is what lets one engine
+            serve many requests.  The pool's cache configuration
+            replaces ``tt``; the caller owns the pool's lifetime.
     """
 
     algorithm: str = "alphabeta"
@@ -83,7 +83,7 @@ class EngineConfig:
     er_serial_depth: int = 1
     tt: str = "off"
     cost_model: CostModel = DEFAULT_COST_MODEL
-    pool: Optional[PersistentPool] = None
+    pool: Optional[EnginePool] = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("alphabeta", "er", "parallel-er", "multiproc-er"):
@@ -134,26 +134,16 @@ class GameEngine:
             # Budgets stay in simulated units: the merged stats are charged
             # through the same cost model as every other backend, so a
             # time budget means the same amount of work regardless of how
-            # many real cores happened to be available.
-            if cfg.pool is not None:
-                # Persistent pool: warm workers and shared caches span
-                # every subtree of every deepening iteration (and every
-                # choose() call on this engine).
-                mp_result = multiproc_er(
-                    problem,
-                    cfg.n_processors,
-                    config=ERConfig(serial_depth=cfg.er_serial_depth),
-                    cost_model=cfg.cost_model,
-                    pool=cfg.pool,
-                )
-            else:
-                mp_result = multiproc_er(
-                    problem,
-                    cfg.n_processors,
-                    config=ERConfig(serial_depth=cfg.er_serial_depth),
-                    cost_model=cfg.cost_model,
-                    tt_mode=cfg.tt,
-                )
+            # many real cores happened to be available.  A set pool's
+            # cache configuration wins over tt_mode.
+            mp_result = multiproc_er(
+                problem,
+                cfg.n_processors,
+                config=ERConfig(serial_depth=cfg.er_serial_depth),
+                cost_model=cfg.cost_model,
+                tt_mode=cfg.tt,
+                pool=cfg.pool,
+            )
             return mp_result.value, mp_result.stats.cost
         parallel = parallel_er(
             problem,

@@ -26,6 +26,10 @@ the shared problem heap was cheap and the static evaluator dominated):
   Connect-4, Othello) supports because positions are plain immutable
   dataclasses over ints and tuples.
 
+Every search runs on an :class:`EnginePool`, the one owner of worker
+processes and shared cache segments: a pool the caller keeps warm
+across searches, or a short-lived one the search builds and closes.
+
 The heap, not the executor, picks every task.  The coordinator keeps at
 most :data:`IN_FLIGHT_PER_WORKER` tasks in flight per worker (one
 running, one queued); at that bound it waits for a result instead of
@@ -64,19 +68,20 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Protocol, Sequence
+from typing import Any, Optional, Sequence
 
 from ..cache.sharedmem import SharedMemoryTT
 from ..cache.striped import TT_MODES
 from ..core.er_parallel import E_NODE, R_NODE, UNDECIDED, ERConfig, PNode, _Context
 from ..core.serial_er import TTView, er_search
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
-from ..errors import SearchError, SimulationError
+from ..errors import SearchError, ServeError, SimulationError
 from ..eval.cache import EVAL_CACHE_MODES, SharedMemoryEvalCache, StripedEvalCache
 from ..eval.evaluator import EvalCacheView, Evaluator
-from ..games.base import Game, RootedGame, SearchProblem, hash_key, subproblem
+from ..games.base import Game, Position, RootedGame, SearchProblem, hash_key, subproblem
 from ..obs import events as _obs
 from ..obs import live as _live
 from ..search.stats import SearchStats
@@ -84,11 +89,10 @@ from ..search.transposition import Bound, TranspositionTable, TTEntry
 
 __all__ = [
     "IN_FLIGHT_PER_WORKER",
+    "EnginePool",
     "MultiprocResult",
-    "PersistentPool",
     "ScalingPoint",
-    "WorkerCaches",
-    "build_worker_caches",
+    "TaskOutcome",
     "default_serial_depth",
     "multiproc_er",
     "scaling_run",
@@ -231,7 +235,9 @@ def _worker_evaluator(game: Game) -> Optional[Evaluator]:
 #: coordinator can max-merge shipments that arrive out of order.
 _TraceBlob = tuple[tuple[_live.SpanRec, ...], int, float]
 
-_TaskOutcome = tuple[str, float, _PackedStats, float, float, int, int, Optional[_TraceBlob]]
+#: What :func:`_run_task` returns: ``(kind, value, packed_stats, t_start,
+#: t_end, pid, children_done, trace_blob)``.
+TaskOutcome = tuple[str, float, _PackedStats, float, float, int, int, Optional[_TraceBlob]]
 
 
 def _drain_worker_ring() -> Optional[_TraceBlob]:
@@ -255,7 +261,7 @@ def _flush_trace() -> tuple[int, Optional[_TraceBlob]]:
     return os.getpid(), _drain_worker_ring()
 
 
-def _run_task(payload: tuple[Any, ...]) -> _TaskOutcome:
+def _run_task(payload: tuple[Any, ...]) -> TaskOutcome:
     """Execute one serial subtree task; runs inside a worker process.
 
     Returns ``(kind, value, packed_stats, t_start, t_end, pid,
@@ -309,123 +315,331 @@ def _run_task(payload: tuple[Any, ...]) -> _TaskOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Pool construction, shared with the persistent server-owned pool.
+# The worker pool: the one owner of worker processes and shared segments.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WorkerCaches:
-    """Initializer specs plus the coordinator-side shared segments.
+#: Per-worker cap on the spans :class:`EnginePool` keeps coordinator-side
+#: (oldest dropped first), bounding a long-lived service's trace memory.
+TRACE_SPAN_LIMIT = 8192
 
-    ``tt_spec``/``eval_spec`` are what :func:`_init_worker` consumes;
-    ``shared_tt``/``shared_eval`` are the coordinator's mappings of the
-    segments those specs name (``None`` for off/private modes).  Whoever
-    builds the caches owns the segments: call :meth:`teardown` after the
-    last worker process has exited.
-    """
-
-    tt_spec: tuple[Any, ...]
-    eval_spec: tuple[Any, ...]
-    shared_tt: Optional[SharedMemoryTT]
-    shared_eval: Optional[SharedMemoryEvalCache]
-
-    def teardown(self) -> dict[str, int]:
-        """Close and destroy the shared segments; returns their counters."""
-        counters: dict[str, int] = {}
-        if self.shared_tt is not None:
-            counters.update(self.shared_tt.counter_snapshot())
-            self.shared_tt.close()
-            self.shared_tt.unlink()
-        if self.shared_eval is not None:
-            counters.update(self.shared_eval.counter_snapshot())
-            self.shared_eval.close()
-            self.shared_eval.unlink()
-        return counters
+#: Lock stripes per shared segment.
+_SEGMENT_STRIPES = 8
 
 
-def build_worker_caches(
-    mp_ctx: multiprocessing.context.BaseContext,
-    *,
-    tt_mode: str = "off",
-    tt_capacity: int = 1 << 14,
-    eval_cache_mode: str = "off",
-    eval_cache_capacity: int = 1 << 14,
-    batch_eval: bool = False,
-    n_stripes: int = 8,
-) -> WorkerCaches:
-    """Build the cache specs a worker pool's initializer needs.
-
-    Locks come from ``mp_ctx`` — the pool's own context — so they
-    survive the trip through the initializer under any start method.
-    """
+def _check_cache_modes(tt_mode: str, eval_cache_mode: str) -> None:
     if tt_mode not in TT_MODES:
         raise SearchError(f"unknown tt mode {tt_mode!r}; expected one of {TT_MODES}")
     if eval_cache_mode not in EVAL_CACHE_MODES:
         raise SearchError(
-            f"unknown eval-cache mode {eval_cache_mode!r}; "
-            f"expected one of {EVAL_CACHE_MODES}"
+            f"unknown eval-cache mode {eval_cache_mode!r}; expected one of {EVAL_CACHE_MODES}"
         )
-    shared_tt: Optional[SharedMemoryTT] = None
-    shared_eval: Optional[SharedMemoryEvalCache] = None
-    tt_spec: tuple[Any, ...] = ("off",)
-    if tt_mode == "shared":
-        shared_tt = SharedMemoryTT(
-            capacity=tt_capacity,
-            n_stripes=n_stripes,
-            locks=[mp_ctx.Lock() for _ in range(n_stripes)],
-        )
-        tt_spec = ("shared", shared_tt.handle(), shared_tt.locks)
-    elif tt_mode == "private":
-        tt_spec = ("private", tt_capacity)
-    eval_spec: tuple[Any, ...] = ("off", batch_eval)
-    if eval_cache_mode == "shared":
-        shared_eval = SharedMemoryEvalCache(
-            _table=SharedMemoryTT(
-                capacity=eval_cache_capacity,
-                n_stripes=n_stripes,
-                locks=[mp_ctx.Lock() for _ in range(n_stripes)],
-            )
-        )
-        eval_spec = ("shared", shared_eval.handle(), shared_eval.locks, batch_eval)
-    elif eval_cache_mode == "private":
-        eval_spec = ("private", eval_cache_capacity, batch_eval)
-    return WorkerCaches(
-        tt_spec=tt_spec,
-        eval_spec=eval_spec,
-        shared_tt=shared_tt,
-        shared_eval=shared_eval,
-    )
 
 
-class PersistentPool(Protocol):
-    """A long-lived worker pool whose caches outlive individual searches.
+class EnginePool:
+    """P warm worker processes plus the shared segments they map.
 
-    :class:`repro.serve.pool.EnginePool` is the canonical
-    implementation: the pool owns the executor, the shared
-    :class:`~repro.cache.sharedmem.SharedMemoryTT`, and the shared eval
-    cache, and its workers were initialized with :func:`_init_worker` —
-    so :func:`multiproc_er` can run *on* it without rebuilding (or
-    tearing down) any of that per search.  The engine layer
-    (:class:`repro.engine.GameEngine` with ``algorithm="multiproc-er"``)
-    threads one through :class:`repro.engine.EngineConfig`, turning
-    "one pool + one warm table per search" into "one pool + one warm
-    table per engine lifetime".
+    Every process and segment of the multiprocess backend is built here.
+    :func:`multiproc_er` runs on one: a short-lived pool it builds and
+    closes itself, or a caller's long-lived pool (the search service's,
+    or :class:`repro.engine.EngineConfig`'s ``pool``) whose warm caches
+    then span searches and requests.
+
+    Args:
+        n_workers: worker-process count.
+        tt_mode: ``off``/``private``/``shared`` — ``shared`` (default)
+            is the point of the service: one warm
+            :class:`~repro.cache.sharedmem.SharedMemoryTT` spanning
+            requests, so repeated and overlapping queries collapse to
+            table hits.
+        tt_capacity: slot budget for the shared table.
+        eval_cache_mode: ``off``/``private``/``shared`` static-eval
+            cache for the workers.
+        eval_cache_capacity: entry budget for the eval cache.
+        batch_eval: batch frontier evaluations in worker subtree
+            searches.
+        trace_mode: span-ring mode installed in every worker.
+
+    Workers start with :func:`preferred_start_method`; their stripe
+    locks come from that same context, so they survive the trip through
+    :func:`_init_worker` under any start method.
+
+    The pool accumulates run-independent accounting: per-worker busy
+    seconds keyed by stable worker index (same convention as
+    :class:`MultiprocResult.per_worker`), merged
+    :class:`~repro.search.stats.SearchStats` over every result passed to
+    :meth:`note_outcome`, and task/short-circuit counters.  :meth:`close`
+    is idempotent and tears down the executor and both shared segments;
+    the soak battery asserts nothing leaks past it.
     """
 
-    @property
-    def executor(self) -> ProcessPoolExecutor: ...
+    def __init__(
+        self,
+        n_workers: int,
+        *,
+        tt_mode: str = "shared",
+        tt_capacity: int = 1 << 14,
+        eval_cache_mode: str = "off",
+        eval_cache_capacity: int = 1 << 14,
+        batch_eval: bool = False,
+        trace_mode: str = _live.TRACE_OFF,
+    ) -> None:
+        if n_workers < 1:
+            raise ServeError("need at least one worker process")
+        if trace_mode not in _live.TRACE_MODES:
+            raise ServeError(
+                f"unknown trace mode {trace_mode!r}; expected one of {_live.TRACE_MODES}"
+            )
+        _check_cache_modes(tt_mode, eval_cache_mode)
+        self._n_workers = n_workers
+        self._trace_mode = trace_mode
+        mp_ctx = multiprocessing.get_context(preferred_start_method())
+        self._shared_tt: Optional[SharedMemoryTT] = None
+        self._shared_eval: Optional[SharedMemoryEvalCache] = None
+        tt_spec: tuple[Any, ...] = ("off",)
+        if tt_mode == "shared":
+            self._shared_tt = SharedMemoryTT(
+                capacity=tt_capacity,
+                n_stripes=_SEGMENT_STRIPES,
+                locks=[mp_ctx.Lock() for _ in range(_SEGMENT_STRIPES)],
+            )
+            tt_spec = ("shared", self._shared_tt.handle(), self._shared_tt.locks)
+        elif tt_mode == "private":
+            tt_spec = ("private", tt_capacity)
+        eval_spec: tuple[Any, ...] = ("off", batch_eval)
+        if eval_cache_mode == "shared":
+            self._shared_eval = SharedMemoryEvalCache(
+                _table=SharedMemoryTT(
+                    capacity=eval_cache_capacity,
+                    n_stripes=_SEGMENT_STRIPES,
+                    locks=[mp_ctx.Lock() for _ in range(_SEGMENT_STRIPES)],
+                )
+            )
+            eval_spec = (
+                "shared", self._shared_eval.handle(), self._shared_eval.locks, batch_eval
+            )
+        elif eval_cache_mode == "private":
+            eval_spec = ("private", eval_cache_capacity, batch_eval)
+        self._executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
+            max_workers=n_workers,
+            mp_context=mp_ctx,
+            initializer=_init_worker,
+            initargs=(tt_spec, eval_spec, trace_mode),
+        )
+        self.stats = SearchStats()
+        #: Stable worker index -> {"pid", "applied"} busy seconds; the
+        #: service has no moot results, so there is no "wasted" split.
+        self.per_worker: dict[int, dict[str, float]] = {}
+        self._pid_index: dict[int, int] = {}
+        self.counters: dict[str, int] = {
+            "tasks_submitted": 0,
+            "tasks_completed": 0,
+            "tt_short_circuits": 0,
+        }
+        self._closed = False
+        self._final_counters: dict[str, int] = {}
+        #: Worker trace collection, fed by :meth:`note_outcome` from the
+        #: trace blobs riding on task results: per-pid span deques
+        #: (bounded), per-pid clock-offset estimators built from task
+        #: round-trips, and cumulative ring counters (max-merged — the
+        #: workers ship lifetime values with every result).
+        self._trace_spans: dict[int, deque[_live.SpanRec]] = {}
+        self._trace_offsets: dict[int, _live.OffsetEstimator] = {}
+        self._trace_dropped: dict[int, int] = {}
+        self._trace_self_cost: dict[int, float] = {}
 
     @property
-    def shared_tt(self) -> Optional[SharedMemoryTT]: ...
+    def executor(self) -> ProcessPoolExecutor:
+        if self._executor is None:
+            raise ServeError("engine pool is closed")
+        return self._executor
 
     @property
-    def shared_eval(self) -> Optional[SharedMemoryEvalCache]: ...
+    def shared_tt(self) -> Optional[SharedMemoryTT]:
+        return self._shared_tt
 
     @property
-    def n_workers(self) -> int: ...
+    def shared_eval(self) -> Optional[SharedMemoryEvalCache]:
+        return self._shared_eval
 
     @property
-    def trace_mode(self) -> str: ...
+    def n_workers(self) -> int:
+        return self._n_workers
+
+    @property
+    def trace_mode(self) -> str:
+        return self._trace_mode
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    # -- task submission ----------------------------------------------------
+
+    def submit_eval(
+        self,
+        problem: SearchProblem,
+        alpha: float = float("-inf"),
+        beta: float = float("inf"),
+        *,
+        tag: Optional[str] = None,
+    ) -> "Future[TaskOutcome]":
+        """Ship one full subtree search to a warm worker process.
+
+        ``tag`` (``request_id/span_id``, see
+        :func:`repro.obs.reqtrace.span_tag`) rides in the task payload
+        so the worker's span for this task carries its originating
+        request — the propagation leg of request-scoped tracing.
+        """
+        payload: tuple[object, ...] = ("eval", problem, alpha, beta)
+        if tag is not None:
+            payload = payload + (tag,)
+        future = self.executor.submit(_run_task, payload)
+        self.counters["tasks_submitted"] += 1
+        return future
+
+    def note_outcome(
+        self, outcome: TaskOutcome, *, submitted_at: Optional[float] = None
+    ) -> float:
+        """Fold one task result into the pool's accounting; returns its value.
+
+        ``submitted_at`` (coordinator clock, :func:`repro.obs.live.wall_clock`)
+        turns this result's worker timestamps into one clock-offset
+        observation — ``(submit, start, end, receive)`` brackets the
+        worker-to-coordinator offset — so collected worker spans can be
+        rebased onto the service timeline even across clock domains.
+        """
+        _, value, packed, t_start, t_end, worker_pid, _, blob = outcome
+        self.stats.merge(_unpack_stats(packed))
+        index = self._pid_index.setdefault(worker_pid, len(self._pid_index))
+        split = self.per_worker.setdefault(
+            index, {"pid": float(worker_pid), "applied": 0.0}
+        )
+        split["applied"] += max(0.0, t_end - t_start)
+        self.counters["tasks_completed"] += 1
+        if blob is not None:
+            spans, dropped, self_cost = blob
+            store = self._trace_spans.setdefault(
+                worker_pid, deque(maxlen=TRACE_SPAN_LIMIT)
+            )
+            store.extend(spans)
+            self._trace_dropped[worker_pid] = max(
+                self._trace_dropped.get(worker_pid, 0), dropped
+            )
+            self._trace_self_cost[worker_pid] = max(
+                self._trace_self_cost.get(worker_pid, 0.0), self_cost
+            )
+        if submitted_at is not None:
+            estimator = self._trace_offsets.setdefault(
+                worker_pid, _live.OffsetEstimator()
+            )
+            estimator.observe(submitted_at, t_start, t_end, _live.wall_clock())
+        return value
+
+    # -- collected worker traces --------------------------------------------
+
+    def merged_spans(self) -> tuple[_live.WorkerSpan, ...]:
+        """Collected worker spans rebased onto the coordinator clock.
+
+        Keyed by stable worker index — the same convention as
+        :attr:`per_worker` — with each worker's clock offset taken from
+        its round-trip estimator (0 when the clock domains agree, the
+        common Linux case).
+        """
+        spans_by_worker: dict[int, tuple[_live.SpanRec, ...]] = {}
+        offsets: dict[int, float] = {}
+        for pid, spans in self._trace_spans.items():
+            index = self._pid_index.setdefault(pid, len(self._pid_index))
+            spans_by_worker[index] = tuple(spans)
+            estimator = self._trace_offsets.get(pid)
+            offsets[index] = estimator.offset if estimator is not None else 0.0
+        return _live.merge_spans(spans_by_worker, offsets)
+
+    def request_spans(self, request_id: str) -> tuple[_live.WorkerSpan, ...]:
+        """Merged worker spans tagged as belonging to ``request_id``."""
+        prefix = f"{request_id}/"
+        matched: list[_live.WorkerSpan] = []
+        for span in self.merged_spans():
+            _, tag = _live.split_span_name(span.name)
+            if tag is not None and tag.startswith(prefix):
+                matched.append(span)
+        return tuple(matched)
+
+    def span_pids(self) -> dict[int, int]:
+        """Stable worker index -> OS pid, for labeling exported tracks."""
+        return {index: pid for pid, index in self._pid_index.items()}
+
+    def trace_dropped(self) -> int:
+        """Worker spans lost to ring overwrites (cumulative, all workers)."""
+        return sum(self._trace_dropped.values())
+
+    def probe_exact(self, game: Game, position: Position, depth: int) -> Optional[float]:
+        """Answer a full-window subtree from the warm table, if it can.
+
+        Full-window searches only ever substitute EXACT entries (a
+        bound cannot answer an open window), proven at least ``depth``
+        deep — the same gate :func:`~repro.core.serial_er.er_search`
+        applies at the subtree's root, so a short-circuit here returns
+        exactly what the worker would have.
+        """
+        table = self.shared_tt
+        if table is None:
+            return None
+        entry = table.probe(hash_key(game, position))
+        if entry is None or entry.depth < depth or entry.bound is not Bound.EXACT:
+            return None
+        self.counters["tt_short_circuits"] += 1
+        return entry.value
+
+    def clear_caches(self) -> None:
+        """Zero the shared segments — the benchmark's "cold" mode.
+
+        Emptying the warm tables between requests isolates what cache
+        warmth contributes versus pool persistence, without paying (or
+        measuring) worker start-up.
+        """
+        tt = self.shared_tt
+        if tt is not None:
+            tt.clear()
+        cache = self.shared_eval
+        if cache is not None:
+            cache.clear()
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def close(self) -> dict[str, int]:
+        """Shut down workers and destroy the shared segments; idempotent.
+
+        Returns the pool's final counters (task counts, short-circuits,
+        and the shared segments' cumulative hit/store totals).
+        """
+        if self._closed:
+            return dict(self._final_counters)
+        self._closed = True
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+        # Every worker has exited, so the segments can go: the pool both
+        # closes its mappings and destroys them.
+        final = dict(self.counters)
+        if self._shared_tt is not None:
+            final.update(self._shared_tt.counter_snapshot())
+            self._shared_tt.close()
+            self._shared_tt.unlink()
+            self._shared_tt = None
+        if self._shared_eval is not None:
+            final.update(self._shared_eval.counter_snapshot())
+            self._shared_eval.close()
+            self._shared_eval.unlink()
+            self._shared_eval = None
+        self._final_counters = final
+        return dict(final)
+
+    def __enter__(self) -> "EnginePool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +758,6 @@ def multiproc_er(
     *,
     config: Optional[ERConfig] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    executor: Optional[ProcessPoolExecutor] = None,
-    start_method: Optional[str] = None,
     timeout: float = 300.0,
     tt_mode: str = "off",
     tt_capacity: int = 1 << 14,
@@ -553,14 +765,16 @@ def multiproc_er(
     eval_cache_capacity: int = 1 << 14,
     batch_eval: bool = False,
     trace: str = _live.TRACE_OFF,
-    pool: Optional[PersistentPool] = None,
+    pool: Optional[EnginePool] = None,
 ) -> MultiprocResult:
     """Run ER with a coordinator-hosted problem heap and worker processes.
 
     Args:
         problem: the game and horizon to search.
         n_workers: worker-process count (the real-hardware analogue of
-            the paper's processor count).
+            the paper's processor count).  With ``pool``, it must equal
+            ``pool.n_workers``: the loss accounting charges exactly
+            ``n_workers`` processors.
         config: ER tunables; defaults to every speculative mechanism on
             with ``serial_depth`` set by :func:`default_serial_depth`
             (the simulator's no-cutover default would leave the pool with
@@ -569,14 +783,6 @@ def multiproc_er(
         cost_model: charged to the merged stats so node accounting stays
             comparable with the serial and simulated backends; wall time
             is measured, not simulated.
-        executor: optional existing pool to reuse (it is not shut down);
-            must have at least ``n_workers`` workers for the loss
-            accounting to be meaningful.  At most
-            ``IN_FLIGHT_PER_WORKER * n_workers`` tasks are in flight, so
-            an executor with more than ``n_workers`` processes leaves
-            the extra processes idle.
-        start_method: multiprocessing start method; default prefers
-            ``fork``.
         timeout: seconds to wait for any single in-flight task batch
             before declaring the run wedged.
         tt_mode: ``off`` (no caching), ``private`` (one plain table per
@@ -584,14 +790,13 @@ def multiproc_er(
             ``shared`` (one :class:`~repro.cache.sharedmem.SharedMemoryTT`
             segment every worker maps; the coordinator also probes it
             before submitting an eval task, skipping the task on a
-            usable hit).  Modes other than ``off`` require an owned pool.
+            usable hit).
         tt_capacity: slot/entry budget for the table(s).
         eval_cache_mode: ``off``, ``private`` (one single-stripe cache
             per worker process), or ``shared`` (one
             :class:`~repro.eval.SharedMemoryEvalCache` segment every
             worker maps; the coordinator also probes/stores it for its
-            own leaves).  Modes other than ``off`` require an owned
-            pool, like ``tt_mode``.
+            own leaves).
         eval_cache_capacity: entry budget for the eval cache(s).
         batch_eval: batch frontier evaluations inside worker subtree
             searches and coordinator move ordering even without a cache.
@@ -602,18 +807,20 @@ def multiproc_er(
             worker process (plus one in the coordinator), ship spans back
             on the result channel with a drain-on-exit flush, calibrate
             each worker's clock offset from task round-trips, and attach
-            the merged timeline as ``result.trace``.  Requires an owned
-            pool, like the cache modes.
-        pool: a :class:`PersistentPool` (e.g.
-            :class:`repro.serve.pool.EnginePool`) whose executor and
-            warm shared caches this search runs on.  The pool's cache
+            the merged timeline as ``result.trace``.
+        pool: a caller-owned :class:`EnginePool` whose warm workers and
+            shared caches this search runs on.  The pool's cache
             configuration *replaces* ``tt_mode``/``eval_cache_mode``
             (its workers were already initialized), its shared segments
             are left alive for the next search, and ``trace`` must
-            match the pool's trace mode.  Mutually exclusive with
-            ``executor``.
+            match the pool's trace mode.  Without one,
+            the search builds a short-lived :class:`EnginePool` from the
+            arguments above and closes it before returning.
 
     Raises:
+        SearchError: on an invalid argument, including a ``pool`` whose
+            worker count or trace mode differs from ``n_workers`` or
+            ``trace``.
         SimulationError: on a worker crash, a wedged pool, or a protocol
             deadlock (empty heap with nothing in flight before the root
             combines).
@@ -624,32 +831,22 @@ def multiproc_er(
         config = ERConfig(serial_depth=default_serial_depth(problem.depth))
     if config.distributed_heap:
         config = replace(config, distributed_heap=False)
-    if tt_mode not in TT_MODES:
-        raise SearchError(f"unknown tt mode {tt_mode!r}; expected one of {TT_MODES}")
-    if eval_cache_mode not in EVAL_CACHE_MODES:
-        raise SearchError(
-            f"unknown eval-cache mode {eval_cache_mode!r}; expected one of {EVAL_CACHE_MODES}"
-        )
+    _check_cache_modes(tt_mode, eval_cache_mode)
     if trace not in _live.TRACE_MODES:
         raise SearchError(
             f"unknown trace mode {trace!r}; expected one of {_live.TRACE_MODES}"
         )
     traced = trace != _live.TRACE_OFF
-    if pool is not None and executor is not None:
-        raise SearchError("pass either a persistent pool or a raw executor, not both")
+    if pool is not None and n_workers != pool.n_workers:
+        raise SearchError(
+            f"{n_workers} worker(s) requested on a pool of {pool.n_workers}: "
+            "the loss accounting charges exactly the pool's processors"
+        )
     if pool is not None and trace != pool.trace_mode:
         raise SearchError(
             f"trace mode {trace!r} does not match the persistent pool's "
             f"{pool.trace_mode!r}: worker span rings are installed by the "
             "pool initializer and cannot change per search"
-        )
-    if (
-        tt_mode != "off" or eval_cache_mode != "off" or batch_eval or traced
-    ) and executor is not None:
-        raise SearchError(
-            "tt/eval-cache modes other than 'off' (and batch_eval, trace) "
-            "need an owned pool: the worker initializer is what attaches "
-            "each process's caches and span ring"
         )
 
     ctx = _Context(
@@ -659,45 +856,26 @@ def multiproc_er(
     coord_stats = SearchStats()
     merged_workers = SearchStats()
 
-    shared_tt: Optional[SharedMemoryTT] = None
-    shared_eval: Optional[SharedMemoryEvalCache] = None
-    caches: Optional[WorkerCaches] = None
     tail_counters: dict[str, int] = {}
-    if pool is not None:
-        # Persistent server-owned pool: run on its warm caches; leave
-        # segments (and their cumulative counters) alive for the next
-        # search.
-        own_pool = False
-        executor_pool = pool.executor
-        shared_tt = pool.shared_tt
-        shared_eval = pool.shared_eval
-    elif executor is None:
-        own_pool = True
-        method = start_method or preferred_start_method()
-        mp_ctx = multiprocessing.get_context(method)
-        # Locks come from the pool's own context so they survive the
-        # trip through the initializer under any start method.
-        caches = build_worker_caches(
-            mp_ctx,
+    # A caller's pool stays up, segments and cumulative counters alive,
+    # for the next search; without one, this search owns a short-lived
+    # pool and closes it in the finally below.
+    own_pool = pool is None
+    if pool is None:
+        pool = EnginePool(
+            n_workers,
             tt_mode=tt_mode,
             tt_capacity=tt_capacity,
             eval_cache_mode=eval_cache_mode,
             eval_cache_capacity=eval_cache_capacity,
             batch_eval=batch_eval,
+            trace_mode=trace,
         )
-        shared_tt = caches.shared_tt
-        shared_eval = caches.shared_eval
-        executor_pool = ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=mp_ctx,
-            initializer=_init_worker,
-            initargs=(caches.tt_spec, caches.eval_spec, trace),
-        )
-    else:
-        own_pool = False
-        executor_pool = executor
+    executor_pool = pool.executor
+    shared_tt = pool.shared_tt
+    shared_eval = pool.shared_eval
 
-    pending: dict[Future[_TaskOutcome], _Pending] = {}
+    pending: dict[Future[TaskOutcome], _Pending] = {}
     counters = {
         "tasks_submitted": 0,
         "tasks_applied": 0,
@@ -888,7 +1066,7 @@ def multiproc_er(
             ctx._bump("stale_discards")
         publish(pushes)
 
-    def apply_result(record: _Pending, outcome: _TaskOutcome) -> None:
+    def apply_result(record: _Pending, outcome: TaskOutcome) -> None:
         nonlocal busy_applied, busy_wasted
         _, value, packed, t_start, t_end, worker_pid, children_done, blob = outcome
         received_at = time.perf_counter()
@@ -996,13 +1174,13 @@ def multiproc_er(
     finally:
         _live.RING = prev_ring
         if own_pool:
-            executor_pool.shutdown(wait=True, cancel_futures=True)
-        if caches is not None:
-            # Workers have exited (shutdown waited); the coordinator both
-            # closes its mappings and destroys the segments.  Persistent
-            # pools skip this — their segments stay warm for the next
-            # search and are torn down by the pool's own close().
-            tail_counters = caches.teardown()
+            # Keep only the segments' cumulative counters: the pool's own
+            # task counters never saw this search, whose coordinator
+            # submits straight to the executor.
+            tail_counters = {
+                key: value for key, value in pool.close().items()
+                if key not in pool.counters
+            }
 
     if not ctx.done:
         raise SimulationError("multiproc ER finished without combining the root")
@@ -1083,7 +1261,6 @@ def scaling_run(
     *,
     config: Optional[ERConfig] = None,
     serial_seconds: Optional[float] = None,
-    start_method: Optional[str] = None,
     tt_mode: str = "off",
     eval_cache_mode: str = "off",
     batch_eval: bool = False,
@@ -1095,7 +1272,7 @@ def scaling_run(
     points: list[ScalingPoint] = []
     for count in counts:
         result = multiproc_er(
-            problem, count, config=config, start_method=start_method, tt_mode=tt_mode,
+            problem, count, config=config, tt_mode=tt_mode,
             eval_cache_mode=eval_cache_mode, batch_eval=batch_eval, trace=trace,
         )
         points.append(

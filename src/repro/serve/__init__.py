@@ -11,10 +11,11 @@ layer, stdlib-only like the rest of the repo:
   priority-aware load shedding with explicit rejections, per-request
   deadlines over iterative deepening (anytime best-so-far answers), and
   graceful drain;
-* :mod:`.pool` — the persistent engine pool: one long-lived
-  multiprocess worker pool with one warm
+* :mod:`.pool` — the per-iteration fan-out engine over the persistent
+  :class:`~repro.parallel.multiproc.EnginePool` (re-exported here): one
+  long-lived multiprocess worker pool with one warm
   :class:`~repro.cache.sharedmem.SharedMemoryTT` and shared eval cache
-  spanning requests and users, plus the per-iteration fan-out engine;
+  spanning requests and users;
 * :mod:`.server` — the asyncio TCP server tying those together, with
   per-request spans, queue/latency metrics, and the Prometheus text
   endpoint mounted on live service metrics;

@@ -1,65 +1,36 @@
-"""The persistent engine pool: warm workers and shared caches for the service.
-
-Before this module the multiprocess path was "one engine per search":
-every :func:`~repro.parallel.multiproc.multiproc_er` call spawned a
-pool, built a fresh :class:`~repro.cache.sharedmem.SharedMemoryTT`, and
-tore both down at the end — none of one search's work survived to the
-next.  :class:`EnginePool` inverts that ownership: the *server* owns
-one long-lived :class:`~concurrent.futures.ProcessPoolExecutor` whose
-workers were initialized once with
-:func:`repro.parallel.multiproc._init_worker`, one shared TT, and one
-shared eval cache, all spanning every request from every user until the
-pool is closed.  It satisfies the
-:class:`~repro.parallel.multiproc.PersistentPool` protocol, so whole ER
-searches (``multiproc_er(pool=...)``) and the service's per-iteration
-fan-out (:class:`PoolEngine`) run on the same warm substrate.
+"""The service's deepening engine over the warm worker pool.
 
 :class:`PoolEngine` is the service's
 :class:`~repro.serve.scheduler.DeepeningEngine`: one deepening
 iteration evaluates every root move's subtree full-window in a worker
-process and argmaxes the negated values — byte-for-byte the decision
-rule of :meth:`repro.engine.GameEngine.choose`, which is what the
-cross-request parity battery pins against the serial alpha-beta
-oracle.  Before paying a task round-trip it probes the warm shared TT
+process of an :class:`~repro.parallel.multiproc.EnginePool` and
+argmaxes the negated values — byte-for-byte the decision rule of
+:meth:`repro.engine.GameEngine.choose`, which is what the cross-request
+parity battery pins against the serial alpha-beta oracle.  Before
+paying a task round-trip it probes the pool's warm shared TT
 coordinator-side for an EXACT entry deep enough to answer the subtree
-outright — the cross-request amortization the ROADMAP's north star is
-about.
+outright, so repeated and overlapping requests collapse to table hits.
+
+:class:`~repro.parallel.multiproc.EnginePool` itself lives with the
+worker initializer and task format in :mod:`repro.parallel.multiproc`;
+it is re-exported here and from :mod:`repro.serve`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..cache.sharedmem import SharedMemoryTT
-from ..errors import ServeError
-from ..eval.cache import SharedMemoryEvalCache
-from ..games.base import Game, Position, RootedGame, SearchProblem, hash_key
+from ..games.base import Game, Position, RootedGame, SearchProblem
 from ..obs import live as _live
 from ..obs import reqtrace as _reqtrace
-from ..parallel.multiproc import (
-    WorkerCaches,
-    _init_worker,
-    _run_task,
-    _TaskOutcome,
-    _unpack_stats,
-    build_worker_caches,
-    preferred_start_method,
-)
-from ..search.stats import SearchStats
-from ..search.transposition import Bound
+from ..parallel.multiproc import EnginePool, TaskOutcome
 from .api import SearchRequest
 from .scheduler import IterationResult
 
 __all__ = ["EnginePool", "PoolEngine", "ResolvedPosition"]
-
-NEG_INF = float("-inf")
-POS_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -70,286 +41,6 @@ class ResolvedPosition:
     position: Position
     children: tuple[Position, ...]
     sort_below_root: int
-
-
-class EnginePool:
-    """One warm multiprocess pool shared by every request of a service.
-
-    Args:
-        n_workers: worker-process count.
-        tt_mode: ``off``/``private``/``shared`` — ``shared`` (default)
-            is the point of the service: one warm
-            :class:`~repro.cache.sharedmem.SharedMemoryTT` spanning
-            requests, so repeated and overlapping queries collapse to
-            table hits.
-        tt_capacity: slot budget for the shared table.
-        eval_cache_mode: ``off``/``private``/``shared`` static-eval
-            cache for the workers.
-        eval_cache_capacity: entry budget for the eval cache.
-        batch_eval: batch frontier evaluations in worker subtree
-            searches.
-        start_method: multiprocessing start method (default prefers
-            ``fork``).
-        trace_mode: span-ring mode installed in every worker.
-        trace_span_limit: per-worker cap on coordinator-side collected
-            spans (oldest dropped first), bounding a long-lived
-            service's trace memory.
-
-    The pool accumulates run-independent accounting: per-worker busy
-    seconds keyed by stable worker index (same convention as
-    :class:`~repro.parallel.multiproc.MultiprocResult.per_worker`),
-    merged :class:`~repro.search.stats.SearchStats` over every task
-    result, and task/short-circuit counters.  :meth:`close` is
-    idempotent and tears down the executor and both shared segments;
-    the soak battery asserts nothing leaks past it.
-    """
-
-    def __init__(
-        self,
-        n_workers: int,
-        *,
-        tt_mode: str = "shared",
-        tt_capacity: int = 1 << 14,
-        eval_cache_mode: str = "off",
-        eval_cache_capacity: int = 1 << 14,
-        batch_eval: bool = False,
-        start_method: Optional[str] = None,
-        trace_mode: str = _live.TRACE_OFF,
-        trace_span_limit: int = 8192,
-    ) -> None:
-        if n_workers < 1:
-            raise ServeError("need at least one worker process")
-        if trace_mode not in _live.TRACE_MODES:
-            raise ServeError(
-                f"unknown trace mode {trace_mode!r}; expected one of {_live.TRACE_MODES}"
-            )
-        self._n_workers = n_workers
-        self._trace_mode = trace_mode
-        self._mp_ctx = multiprocessing.get_context(
-            start_method or preferred_start_method()
-        )
-        self._caches: Optional[WorkerCaches] = build_worker_caches(
-            self._mp_ctx,
-            tt_mode=tt_mode,
-            tt_capacity=tt_capacity,
-            eval_cache_mode=eval_cache_mode,
-            eval_cache_capacity=eval_cache_capacity,
-            batch_eval=batch_eval,
-        )
-        self._executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=self._mp_ctx,
-            initializer=_init_worker,
-            initargs=(self._caches.tt_spec, self._caches.eval_spec, trace_mode),
-        )
-        self.stats = SearchStats()
-        #: Stable worker index -> {"pid", "applied"} busy seconds; the
-        #: service has no moot results, so there is no "wasted" split.
-        self.per_worker: dict[int, dict[str, float]] = {}
-        self._pid_index: dict[int, int] = {}
-        self.counters: dict[str, int] = {
-            "tasks_submitted": 0,
-            "tasks_completed": 0,
-            "tt_short_circuits": 0,
-        }
-        self._closed = False
-        self._final_counters: dict[str, int] = {}
-        #: Worker trace collection, fed by :meth:`note_outcome` from the
-        #: trace blobs riding on task results: per-pid span deques
-        #: (bounded), per-pid clock-offset estimators built from task
-        #: round-trips, and cumulative ring counters (max-merged — the
-        #: workers ship lifetime values with every result).
-        self._trace_span_limit = trace_span_limit
-        self._trace_spans: dict[int, deque[_live.SpanRec]] = {}
-        self._trace_offsets: dict[int, _live.OffsetEstimator] = {}
-        self._trace_dropped: dict[int, int] = {}
-        self._trace_self_cost: dict[int, float] = {}
-
-    # -- PersistentPool protocol -------------------------------------------
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            raise ServeError("engine pool is closed")
-        return self._executor
-
-    @property
-    def shared_tt(self) -> Optional[SharedMemoryTT]:
-        return self._caches.shared_tt if self._caches is not None else None
-
-    @property
-    def shared_eval(self) -> Optional[SharedMemoryEvalCache]:
-        return self._caches.shared_eval if self._caches is not None else None
-
-    @property
-    def n_workers(self) -> int:
-        return self._n_workers
-
-    @property
-    def trace_mode(self) -> str:
-        return self._trace_mode
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- task submission ----------------------------------------------------
-
-    def submit_eval(
-        self,
-        problem: SearchProblem,
-        alpha: float = NEG_INF,
-        beta: float = POS_INF,
-        *,
-        tag: Optional[str] = None,
-    ) -> "Future[_TaskOutcome]":
-        """Ship one full subtree search to a warm worker process.
-
-        ``tag`` (``request_id/span_id``, see
-        :func:`repro.obs.reqtrace.span_tag`) rides in the task payload
-        so the worker's span for this task carries its originating
-        request — the propagation leg of request-scoped tracing.
-        """
-        payload: tuple[object, ...] = ("eval", problem, alpha, beta)
-        if tag is not None:
-            payload = payload + (tag,)
-        future = self.executor.submit(_run_task, payload)
-        self.counters["tasks_submitted"] += 1
-        return future
-
-    def note_outcome(
-        self, outcome: _TaskOutcome, *, submitted_at: Optional[float] = None
-    ) -> float:
-        """Fold one task result into the pool's accounting; returns its value.
-
-        ``submitted_at`` (coordinator clock, :func:`repro.obs.live.wall_clock`)
-        turns this result's worker timestamps into one clock-offset
-        observation — ``(submit, start, end, receive)`` brackets the
-        worker-to-coordinator offset — so collected worker spans can be
-        rebased onto the service timeline even across clock domains.
-        """
-        _, value, packed, t_start, t_end, worker_pid, _, blob = outcome
-        self.stats.merge(_unpack_stats(packed))
-        index = self._pid_index.setdefault(worker_pid, len(self._pid_index))
-        split = self.per_worker.setdefault(
-            index, {"pid": float(worker_pid), "applied": 0.0}
-        )
-        split["applied"] += max(0.0, t_end - t_start)
-        self.counters["tasks_completed"] += 1
-        if blob is not None:
-            spans, dropped, self_cost = blob
-            store = self._trace_spans.setdefault(
-                worker_pid, deque(maxlen=self._trace_span_limit)
-            )
-            store.extend(spans)
-            self._trace_dropped[worker_pid] = max(
-                self._trace_dropped.get(worker_pid, 0), dropped
-            )
-            self._trace_self_cost[worker_pid] = max(
-                self._trace_self_cost.get(worker_pid, 0.0), self_cost
-            )
-        if submitted_at is not None:
-            estimator = self._trace_offsets.setdefault(
-                worker_pid, _live.OffsetEstimator()
-            )
-            estimator.observe(submitted_at, t_start, t_end, _live.wall_clock())
-        return value
-
-    # -- collected worker traces --------------------------------------------
-
-    def merged_spans(self) -> tuple[_live.WorkerSpan, ...]:
-        """Collected worker spans rebased onto the coordinator clock.
-
-        Keyed by stable worker index — the same convention as
-        :attr:`per_worker` — with each worker's clock offset taken from
-        its round-trip estimator (0 when the clock domains agree, the
-        common Linux case).
-        """
-        spans_by_worker: dict[int, tuple[_live.SpanRec, ...]] = {}
-        offsets: dict[int, float] = {}
-        for pid, spans in self._trace_spans.items():
-            index = self._pid_index.setdefault(pid, len(self._pid_index))
-            spans_by_worker[index] = tuple(spans)
-            estimator = self._trace_offsets.get(pid)
-            offsets[index] = estimator.offset if estimator is not None else 0.0
-        return _live.merge_spans(spans_by_worker, offsets)
-
-    def request_spans(self, request_id: str) -> tuple[_live.WorkerSpan, ...]:
-        """Merged worker spans tagged as belonging to ``request_id``."""
-        prefix = f"{request_id}/"
-        matched: list[_live.WorkerSpan] = []
-        for span in self.merged_spans():
-            _, tag = _live.split_span_name(span.name)
-            if tag is not None and tag.startswith(prefix):
-                matched.append(span)
-        return tuple(matched)
-
-    def span_pids(self) -> dict[int, int]:
-        """Stable worker index -> OS pid, for labeling exported tracks."""
-        return {index: pid for pid, index in self._pid_index.items()}
-
-    def trace_dropped(self) -> int:
-        """Worker spans lost to ring overwrites (cumulative, all workers)."""
-        return sum(self._trace_dropped.values())
-
-    def probe_exact(self, game: Game, position: Position, depth: int) -> Optional[float]:
-        """Answer a full-window subtree from the warm table, if it can.
-
-        Full-window searches only ever substitute EXACT entries (a
-        bound cannot answer an open window), proven at least ``depth``
-        deep — the same gate :func:`~repro.core.serial_er.er_search`
-        applies at the subtree's root, so a short-circuit here returns
-        exactly what the worker would have.
-        """
-        table = self.shared_tt
-        if table is None:
-            return None
-        entry = table.probe(hash_key(game, position))
-        if entry is None or entry.depth < depth or entry.bound is not Bound.EXACT:
-            return None
-        self.counters["tt_short_circuits"] += 1
-        return entry.value
-
-    def clear_caches(self) -> None:
-        """Zero the shared segments — the benchmark's "cold" mode.
-
-        Emptying the warm tables between requests isolates what cache
-        warmth contributes versus pool persistence, without paying (or
-        measuring) worker start-up.
-        """
-        tt = self.shared_tt
-        if tt is not None:
-            tt.clear()
-        cache = self.shared_eval
-        if cache is not None:
-            cache.clear()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> dict[str, int]:
-        """Shut down workers and destroy the shared segments; idempotent.
-
-        Returns the pool's final counters (task counts, short-circuits,
-        and the shared segments' cumulative hit/store totals).
-        """
-        if self._closed:
-            return dict(self._final_counters)
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-        final = dict(self.counters)
-        if self._caches is not None:
-            final.update(self._caches.teardown())
-            self._caches = None
-        self._final_counters = final
-        return dict(final)
-
-    def __enter__(self) -> "EnginePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class PoolEngine:
@@ -398,7 +89,7 @@ class PoolEngine:
         ).child(f"d{depth}")
         tag = None if self._pool.trace_mode == _live.TRACE_OFF else context.tag
         loop = asyncio.get_running_loop()
-        pending: list[tuple[int, float, "asyncio.Future[_TaskOutcome]"]] = []
+        pending: list[tuple[int, float, "asyncio.Future[TaskOutcome]"]] = []
         values: list[Optional[float]] = [None] * len(resolved.children)
         for index, child in enumerate(resolved.children):
             hit = self._pool.probe_exact(resolved.game, child, depth - 1)

@@ -3,7 +3,7 @@
 :class:`SearchService` ties the serve stack together: a TCP listener
 speaking the :mod:`~repro.serve.api` NDJSON protocol, the
 :class:`~repro.serve.scheduler.RequestScheduler` for admission /
-priorities / deadlines, and one :class:`~repro.serve.pool.EnginePool`
+priorities / deadlines, and one :class:`~repro.parallel.multiproc.EnginePool`
 whose warm workers and shared caches span every request from every
 connection.  The observability layer is mounted live: each request and
 deepening iteration lands as a span in the service's

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.games.base import SearchProblem
 from repro.games.explicit import ExplicitTree
 from repro.games.random_tree import RandomGameTree
+from repro.parallel.multiproc import EnginePool
 from repro.search.negamax import negamax
 
 # One moderate default profile: deterministic, no deadline (search code has
@@ -44,3 +49,42 @@ def small_random_problems() -> list[SearchProblem]:
         for seed in (0, 1):
             problems.append(random_problem(degree, height, seed))
     return problems
+
+
+@pytest.fixture(scope="module")
+def engine_pools():
+    """``engine_pools(n)``: one cache-free :class:`EnginePool` of ``n``
+    workers per size, built on first use and closed at module teardown.
+
+    Module-scoped, not session-scoped, so no pool outlives its test
+    module — the process and segment leak audits need a quiet process.
+    """
+    pools: dict[int, EnginePool] = {}
+
+    def get(n_workers: int) -> EnginePool:
+        if n_workers not in pools:
+            pools[n_workers] = EnginePool(n_workers, tt_mode="off")
+        return pools[n_workers]
+
+    yield get
+    for pool in pools.values():
+        pool.close()
+
+
+def shm_names() -> set:
+    """Names currently in ``/dev/shm`` (empty where it does not exist)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
+        return set()
+
+
+def wait_for_no_children(timeout_s: float = 10.0) -> list:
+    """Join pool workers; returns whatever is still alive after timeout."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        children = multiprocessing.active_children()
+        if not children:
+            return []
+        time.sleep(0.05)
+    return multiprocessing.active_children()

@@ -11,9 +11,6 @@ a value mismatch tagged with the exact combination that produced it.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 from repro.core.er_parallel import ERConfig, parallel_er
@@ -30,7 +27,7 @@ from repro.games.random_tree import (
     SyntheticOrderedTree,
 )
 from repro.games.tictactoe import TicTacToe
-from repro.parallel.multiproc import multiproc_er, preferred_start_method
+from repro.parallel.multiproc import multiproc_er
 from repro.parallel.threaded import threaded_er
 from repro.search.alphabeta import alphabeta
 
@@ -117,16 +114,8 @@ CASES = _cases()
 assert len(CASES) >= 50, f"parity grid shrank to {len(CASES)} combos"
 
 
-@pytest.fixture(scope="module")
-def pool():
-    context = multiprocessing.get_context(preferred_start_method())
-    executor = ProcessPoolExecutor(max_workers=3, mp_context=context)
-    yield executor
-    executor.shutdown(wait=True, cancel_futures=True)
-
-
 @pytest.mark.parametrize("make_problem", CASES)
-def test_all_backends_agree(make_problem, pool):
+def test_all_backends_agree(make_problem, engine_pools):
     problem = make_problem()
     # Vary processor count and cutover with the problem so the grid also
     # sweeps the protocol configuration, deterministically per case.
@@ -143,7 +132,7 @@ def test_all_backends_agree(make_problem, pool):
     assert threaded_value == oracle, (
         f"threaded ER diverged (P={n}, {config.serial_depth=})"
     )
-    mp_result = multiproc_er(problem, n, config=config, executor=pool)
+    mp_result = multiproc_er(problem, n, config=config, pool=engine_pools(n))
     assert mp_result.value == oracle, (
         f"multiproc ER diverged (P={n}, {config.serial_depth=})"
     )

@@ -138,15 +138,3 @@ class TestMultiprocEquivalence:
         assert result.stats.batch_calls > 0
         if mode != "off":
             assert result.stats.eval_probes > 0
-
-    def test_eval_modes_reject_foreign_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.errors import SearchError
-
-        problem = SearchProblem(RandomGameTree(3, 4, seed=1), depth=4)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(SearchError):
-                multiproc_er(problem, 1, executor=pool, eval_cache_mode="shared")
-            with pytest.raises(SearchError):
-                multiproc_er(problem, 1, executor=pool, batch_eval=True)

@@ -1,8 +1,5 @@
 """Tests for the multiprocess ER backend (correctness and accounting)."""
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 from repro.core.er_parallel import ERConfig
@@ -20,7 +17,6 @@ from repro.parallel.multiproc import (
     default_serial_depth,
     format_scaling_table,
     multiproc_er,
-    preferred_start_method,
     scaling_run,
 )
 from repro.search.negamax import negamax
@@ -30,25 +26,29 @@ from conftest import random_problem
 
 
 @pytest.fixture(scope="module")
-def pool():
-    """One shared worker pool so each test does not pay process startup."""
-    context = multiprocessing.get_context(preferred_start_method())
-    executor = ProcessPoolExecutor(max_workers=3, mp_context=context)
-    yield executor
-    executor.shutdown(wait=True, cancel_futures=True)
+def pool(engine_pools):
+    """One shared two-worker pool so each test does not pay process startup."""
+    return engine_pools(2)
 
 
 class _InFlightRecorder:
-    """Executor wrapper recording the peak count of tasks submitted but
+    """Pool wrapper recording the peak count of tasks submitted but
     whose result the coordinator has not yet received."""
 
-    def __init__(self, executor):
-        self._executor = executor
+    def __init__(self, pool):
+        self._pool = pool
         self.in_flight = 0
         self.peak = 0
 
+    def __getattr__(self, name):
+        return getattr(self._pool, name)
+
+    @property
+    def executor(self):
+        return self
+
     def submit(self, fn, *args):
-        future = self._executor.submit(fn, *args)
+        future = self._pool.executor.submit(fn, *args)
         self.in_flight += 1
         self.peak = max(self.peak, self.in_flight)
         future.result = self._received(future.result)
@@ -64,13 +64,13 @@ class _InFlightRecorder:
 
 class TestCorrectness:
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_matches_negamax_on_random_trees(self, pool, n_workers):
+    def test_matches_negamax_on_random_trees(self, engine_pools, n_workers):
         for seed in range(3):
             problem = random_problem(3, 4, seed)
             truth = negamax(problem).value
-            recorder = _InFlightRecorder(pool)
+            recorder = _InFlightRecorder(engine_pools(n_workers))
             result = multiproc_er(
-                problem, n_workers, config=ERConfig(serial_depth=2), executor=recorder
+                problem, n_workers, config=ERConfig(serial_depth=2), pool=recorder
             )
             assert result.value == truth
             assert result.stats.nodes_generated > 0
@@ -80,7 +80,7 @@ class TestCorrectness:
     def test_default_config_offloads_subtrees(self, pool):
         problem = random_problem(3, 5, seed=1)
         truth = negamax(problem).value
-        result = multiproc_er(problem, 2, executor=pool)
+        result = multiproc_er(problem, 2, pool=pool)
         assert result.value == truth
         assert result.extras["tasks_submitted"] > 0
 
@@ -88,7 +88,7 @@ class TestCorrectness:
         """The root itself is a serial task: one worker does everything."""
         problem = random_problem(2, 4, seed=3)
         result = multiproc_er(
-            problem, 2, config=ERConfig(serial_depth=0), executor=pool
+            problem, 2, config=ERConfig(serial_depth=0), pool=pool
         )
         assert result.value == negamax(problem).value
         assert result.extras["tasks_submitted"] == 1
@@ -98,7 +98,7 @@ class TestCorrectness:
         by the coordinator; the pool is never used but values still agree."""
         problem = random_problem(2, 3, seed=0)
         result = multiproc_er(
-            problem, 2, config=ERConfig(serial_depth=1_000_000), executor=pool
+            problem, 2, config=ERConfig(serial_depth=1_000_000), pool=pool
         )
         assert result.value == negamax(problem).value
         assert result.extras["tasks_submitted"] == 0
@@ -113,7 +113,7 @@ class TestCorrectness:
                 problem,
                 2,
                 config=ERConfig(serial_depth=2, max_e_children=2),
-                executor=pool,
+                pool=pool,
             )
             assert result.value == truth
             exercised += result.extras["refutation_conversions"]
@@ -124,7 +124,7 @@ class TestCorrectness:
             game = ExplicitTree(spec)
             problem = SearchProblem(game, depth=game.height)
             result = multiproc_er(
-                problem, 2, config=ERConfig(serial_depth=1), executor=pool
+                problem, 2, config=ERConfig(serial_depth=1), pool=pool
             )
             assert result.value == expected
 
@@ -136,7 +136,7 @@ class TestCorrectness:
         ):
             truth = negamax(problem).value
             result = multiproc_er(
-                problem, 2, config=ERConfig(serial_depth=2), executor=pool
+                problem, 2, config=ERConfig(serial_depth=2), pool=pool
             )
             assert result.value == truth
 
@@ -149,7 +149,7 @@ class TestCorrectness:
             problem,
             2,
             config=ERConfig(serial_depth=2, max_e_children=1),
-            executor=pool,
+            pool=pool,
         )
         assert result.value == serial.value
         assert result.stats.leaf_evals >= serial.stats.leaf_evals * 0.5
@@ -159,7 +159,7 @@ class TestAccounting:
     def test_loss_fractions_partition_processor_time(self, pool):
         problem = random_problem(3, 5, seed=2)
         result = multiproc_er(
-            problem, 2, config=ERConfig(serial_depth=2), executor=pool
+            problem, 2, config=ERConfig(serial_depth=2), pool=pool
         )
         assert result.wall_time > 0
         for fraction in (
@@ -180,7 +180,7 @@ class TestAccounting:
     def test_task_counters_close(self, pool):
         problem = random_problem(3, 4, seed=5)
         result = multiproc_er(
-            problem, 2, config=ERConfig(serial_depth=2), executor=pool
+            problem, 2, config=ERConfig(serial_depth=2), pool=pool
         )
         extras = result.extras
         assert extras["tasks_submitted"] == (
@@ -199,7 +199,7 @@ class TestAccounting:
 
 
 class TestScalingHelpers:
-    def test_scaling_run_and_table(self, pool):
+    def test_scaling_run_and_table(self):
         problem = random_problem(3, 4, seed=0)
         serial_seconds, points = scaling_run(
             problem, (1, 2), config=ERConfig(serial_depth=2)
@@ -234,6 +234,15 @@ class TestValidation:
         with pytest.raises(SearchError):
             multiproc_er(random_problem(2, 2, 0), 0)
 
+    @pytest.mark.parametrize("pool_size, n_workers", [(3, 1), (1, 3)])
+    def test_rejects_worker_count_mismatch(self, engine_pools, pool_size, n_workers):
+        """The loss accounting charges n_workers processors, so it must be
+        the pool's own count: neither idle extras nor phantom workers."""
+        with pytest.raises(SearchError, match="pool of"):
+            multiproc_er(
+                random_problem(2, 3, 0), n_workers, pool=engine_pools(pool_size)
+            )
+
     def test_distributed_heap_is_coordinator_hosted(self, pool):
         """The distributed_heap flag is ignored, not an error."""
         problem = random_problem(2, 4, seed=1)
@@ -241,7 +250,7 @@ class TestValidation:
             problem,
             2,
             config=ERConfig(serial_depth=2, distributed_heap=True),
-            executor=pool,
+            pool=pool,
         )
         assert result.value == negamax(problem).value
         assert result.extras["steals"] == 0

@@ -246,12 +246,6 @@ class TestPersistentPoolPlumbing:
             with pytest.raises(SearchError, match="multiproc-er"):
                 EngineConfig(algorithm="er", pool=pool)
 
-    def test_multiproc_er_rejects_pool_executor_conflict(self) -> None:
-        problem = SearchProblem(RandomGameTree(2, 3, seed=0), depth=3)
-        with EnginePool(1) as pool:
-            with pytest.raises(SearchError):
-                multiproc_er(problem, 1, pool=pool, executor=pool.executor)
-
     def test_game_engine_on_shared_pool(self) -> None:
         game = RandomGameTree(3, 4, seed=11)
         serial = GameEngine(

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import multiprocessing
 import os
 import random
-import time
 
 import pytest
 
 import test_serve_scheduler as sched_fakes
+from conftest import shm_names, wait_for_no_children
 from repro.serve import (
     STATUS_OK,
     STATUS_SHED,
@@ -88,24 +87,6 @@ def _fd_count() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-def _shm_names() -> set:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
-        return set()
-
-
-def _wait_for_no_children(timeout_s: float = 10.0) -> list:
-    """Join pool workers; returns whatever is still alive after timeout."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        children = multiprocessing.active_children()
-        if not children:
-            return []
-        time.sleep(0.05)
-    return multiprocessing.active_children()
-
-
 async def _service_pass(n_requests: int) -> SearchService:
     config = ServeConfig(
         n_workers=2,
@@ -145,21 +126,21 @@ def test_service_soak_leaves_no_residue() -> None:
     return the process to that baseline.
     """
     asyncio.run(_service_pass(4))  # warm-up: spawn tracker, prime imports
-    assert _wait_for_no_children() == []
+    assert wait_for_no_children() == []
     gc.collect()
 
     fd_before = _fd_count()
-    shm_before = _shm_names()
+    shm_before = shm_names()
 
     service = asyncio.run(_service_pass(SERVICE_REQUESTS))
 
     # Worker processes are gone.
-    leftover = _wait_for_no_children()
+    leftover = wait_for_no_children()
     assert leftover == [], f"leaked worker processes: {leftover}"
 
     # Shared-memory segments were unlinked.
     gc.collect()
-    leaked_shm = _shm_names() - shm_before
+    leaked_shm = shm_names() - shm_before
     assert leaked_shm == set(), f"leaked shm segments: {leaked_shm}"
 
     # File descriptors returned to baseline (small slack for the
