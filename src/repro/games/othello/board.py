@@ -2,9 +2,17 @@
 
 The paper used Steven Scott's Othello program; this is a from-scratch
 replacement (see DESIGN.md).  Boards are 64-bit integers, bit ``row*8+col``
-with row 0 at the top.  Move generation and disc flipping use the standard
-eight-direction shift-and-mask flood fill, so generating all moves costs a
-few dozen integer operations regardless of position.
+with row 0 at the top.
+
+Every kernel is straight-line integer code with no call per step.  The
+eight directions are the four ``(shift, mask)`` pairs of
+:data:`DIRECTIONS`, each used in both senses: a left shift one way, a
+right shift the other.  The mask keeps horizontal and diagonal rays off
+the edge files, so no ray wraps round an edge.  Move generation is a
+Kogge-Stone fill from the mover's discs over ``opp & mask``, one step
+further, then a single ``& empty``; :func:`both_legal_moves` runs it for
+both sides at once on a lane-packed pair.  Flipping walks the same table
+one ray at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ FILE_A = 0x0101010101010101
 FILE_H = 0x8080808080808080
 NOT_A = FULL ^ FILE_A
 NOT_H = FULL ^ FILE_H
+INNER_FILES = NOT_A & NOT_H
+RANK_1 = 0xFF
+RANK_8 = RANK_1 << 56
 
 CORNERS = (1 << 0) | (1 << 7) | (1 << 56) | (1 << 63)
 
@@ -27,81 +38,90 @@ C_SQUARES = (
     (1 << 1) | (1 << 8) | (1 << 6) | (1 << 15) | (1 << 48) | (1 << 57) | (1 << 55) | (1 << 62)
 )
 
-EDGES = 0xFF818181818181FF
-
 #: Standard initial discs: black on d5/e4, white on d4/e5; black moves first.
 BLACK_START = (1 << 28) | (1 << 35)
 WHITE_START = (1 << 27) | (1 << 36)
 
 
-def _shift_east(b: int) -> int:
-    return (b & NOT_H) << 1
+#: Bit offset of the second board in a lane-packed pair of boards.  The
+#: gap between lanes is wider than the longest shift, so no ray crosses it.
+LANE = 128
+#: ``FULL`` in both lanes.
+BOTH_LANES = FULL | (FULL << LANE)
 
-
-def _shift_west(b: int) -> int:
-    return (b & NOT_A) >> 1
-
-
-def _shift_south(b: int) -> int:
-    return (b << 8) & FULL
-
-
-def _shift_north(b: int) -> int:
-    return b >> 8
-
-
-def _shift_se(b: int) -> int:
-    return ((b & NOT_H) << 9) & FULL
-
-
-def _shift_sw(b: int) -> int:
-    return ((b & NOT_A) << 7) & FULL
-
-
-def _shift_ne(b: int) -> int:
-    return (b & NOT_H) >> 7
-
-
-def _shift_nw(b: int) -> int:
-    return (b & NOT_A) >> 9
-
-
-SHIFTS = (
-    _shift_east,
-    _shift_west,
-    _shift_south,
-    _shift_north,
-    _shift_se,
-    _shift_sw,
-    _shift_ne,
-    _shift_nw,
+#: The four direction pairs as (shift, mask): a left shift by ``shift``
+#: steps one way, a right shift the other.  ``mask`` (in both lanes)
+#: holds the squares a ray may cross; horizontal and diagonal rays are
+#: kept off the edge files so that none wraps from one edge to the other.
+DIRECTIONS = (
+    (1, (INNER_FILES << LANE) | INNER_FILES),  # east / west
+    (8, BOTH_LANES),  # south / north
+    (7, (INNER_FILES << LANE) | INNER_FILES),  # south-west / north-east
+    (9, (INNER_FILES << LANE) | INNER_FILES),  # south-east / north-west
 )
 
 
 def legal_moves(own: int, opp: int) -> int:
-    """Bitboard of squares where the side owning ``own`` may play."""
-    empty = FULL ^ own ^ opp
+    """Bitboard of squares where the side owning ``own`` may play.
+
+    Also takes a lane-packed pair of positions (see :func:`both_legal_moves`).
+    """
     moves = 0
-    for shift in SHIFTS:
-        candidates = shift(own) & opp
-        # Six chained steps cover the longest possible flip line.
-        for _ in range(5):
-            candidates |= shift(candidates) & opp
-        moves |= shift(candidates) & empty
-    return moves
+    for shift, mask in DIRECTIONS:
+        cross = opp & mask
+        double = shift + shift
+        # Kogge-Stone fill: three doubling steps cover the longest run of
+        # six opposing discs.
+        fill = own
+        through = cross
+        fill |= through & (fill << shift)
+        through &= through << shift
+        fill |= through & (fill << double)
+        through &= through << double
+        fill |= through & (fill << double + double)
+        moves |= (fill & cross) << shift
+        fill = own
+        through = cross
+        fill |= through & (fill >> shift)
+        through &= through >> shift
+        fill |= through & (fill >> double)
+        through &= through >> double
+        fill |= through & (fill >> double + double)
+        moves |= (fill & cross) >> shift
+    return moves & BOTH_LANES & ~(own | opp)
+
+
+def both_legal_moves(own: int, opp: int) -> tuple[int, int]:
+    """``(legal_moves(own, opp), legal_moves(opp, own))`` in one pass.
+
+    The two positions ride in separate lanes of one integer, so the fill
+    costs about as much as a single side's.
+    """
+    moves = legal_moves(own | (opp << LANE), opp | (own << LANE))
+    return moves & FULL, moves >> LANE
 
 
 def flips_for_move(own: int, opp: int, move: int) -> int:
     """Bitboard of opposing discs flipped by playing on ``move`` (one bit)."""
     flips = 0
-    for shift in SHIFTS:
-        line = 0
-        probe = shift(move)
-        while probe & opp:
-            line |= probe
-            probe = shift(probe)
-        if probe & own:
-            flips |= line
+    for shift, mask in DIRECTIONS:
+        cross = opp & mask
+        line = cross & (move << shift)
+        if line:
+            probe = line << shift
+            while probe & cross:
+                line |= probe
+                probe <<= shift
+            if probe & own:
+                flips |= line
+        line = cross & (move >> shift)
+        if line:
+            probe = line >> shift
+            while probe & cross:
+                line |= probe
+                probe >>= shift
+            if probe & own:
+                flips |= line
     return flips
 
 
@@ -144,13 +164,46 @@ def square_bit(name: str) -> int:
     return 1 << (row * 8 + col)
 
 
+def neighbourhood(board: int) -> int:
+    """Squares of ``board`` and every square next to one of them."""
+    row = board | ((board & NOT_H) << 1) | ((board & NOT_A) >> 1)
+    return (row | (row << 8) | (row >> 8)) & FULL
+
+
 def frontier(own: int, opp: int) -> int:
     """Discs of ``own`` adjacent to at least one empty square."""
-    empty = FULL ^ own ^ opp
-    adjacent_to_empty = 0
-    for shift in SHIFTS:
-        adjacent_to_empty |= shift(empty)
-    return own & adjacent_to_empty
+    return own & neighbourhood(FULL ^ own ^ opp)
+
+
+#: Each corner with the two edge lines it anchors.
+_CORNER_EDGES = (
+    (1 << 0, RANK_1, FILE_A),
+    (1 << 7, RANK_1, FILE_H),
+    (1 << 56, RANK_8, FILE_A),
+    (1 << 63, RANK_8, FILE_H),
+)
+
+
+def edge_anchored_runs(own: int, opp: int) -> int:
+    """Discs of either side in a same-color run from a corner along an edge.
+
+    The run from each occupied corner grows one square at a time in both
+    senses along its edge line; only the sense away from the corner can
+    stay on the line, so it stops at the first square of another color.
+    """
+    runs = 0
+    for corner, rank, file in _CORNER_EDGES:
+        color = own if own & corner else opp
+        if not color & corner:
+            continue
+        for line, shift in ((rank & color, 1), (file & color, 8)):
+            run = 0
+            grown = corner
+            while grown != run:
+                run = grown
+                grown = run | (((run << shift) | (run >> shift)) & line)
+            runs |= run
+    return runs
 
 
 def stable_edge_discs(own: int, opp: int) -> int:
@@ -160,24 +213,7 @@ def stable_edge_discs(own: int, opp: int) -> int:
     edge chains are the standard cheap approximation and capture the
     dominant term.
     """
-    occupied = own | opp
-    stable = 0
-    for corner_index, (d1, d2) in (
-        (0, (_shift_east, _shift_south)),
-        (7, (_shift_west, _shift_south)),
-        (56, (_shift_east, _shift_north)),
-        (63, (_shift_west, _shift_north)),
-    ):
-        corner = 1 << corner_index
-        if not occupied & corner:
-            continue
-        color = own if own & corner else opp
-        for shift in (d1, d2):
-            probe = corner
-            while probe & color:
-                stable |= probe & color
-                probe = shift(probe)
-    return stable & own
+    return edge_anchored_runs(own, opp) & own
 
 
 def render(black: int, white: int, black_to_move: bool = True) -> str:

@@ -18,9 +18,9 @@ from .board import (
     CORNERS,
     FULL,
     X_SQUARES,
-    frontier,
-    legal_moves,
-    stable_edge_discs,
+    both_legal_moves,
+    edge_anchored_runs,
+    neighbourhood,
 )
 
 
@@ -85,8 +85,7 @@ def evaluate(own: int, opp: int) -> float:
     difference, scaled beyond any heuristic value so search always prefers
     a true win to a promising position.
     """
-    own_moves = legal_moves(own, opp)
-    opp_moves = legal_moves(opp, own)
+    own_moves, opp_moves = both_legal_moves(own, opp)
     if own_moves == 0 and opp_moves == 0:
         margin = own.bit_count() - opp.bit_count()
         if margin > 0:
@@ -102,21 +101,20 @@ def evaluate(own: int, opp: int) -> float:
 
     empty = FULL ^ own ^ opp
     # Frontier discs are a liability: fewer is better, hence the sign flip.
+    near_empty = neighbourhood(empty)
     score -= weights.potential_mobility * (
-        frontier(own, opp).bit_count() - frontier(opp, own).bit_count()
+        (own & near_empty).bit_count() - (opp & near_empty).bit_count()
     )
 
     score += weights.corners * ((own & CORNERS).bit_count() - (opp & CORNERS).bit_count())
 
     # X/C squares next to an *empty* corner hand the corner to the opponent.
-    danger_x = _squares_near_empty_corners(empty, X_SQUARES)
-    danger_c = _squares_near_empty_corners(empty, C_SQUARES)
+    danger_x, danger_c = _DANGER[empty & CORNERS]
     score -= weights.x_penalty * ((own & danger_x).bit_count() - (opp & danger_x).bit_count())
     score -= weights.c_penalty * ((own & danger_c).bit_count() - (opp & danger_c).bit_count())
 
-    score += weights.stability * (
-        stable_edge_discs(own, opp).bit_count() - stable_edge_discs(opp, own).bit_count()
-    )
+    stable = edge_anchored_runs(own, opp)
+    score += weights.stability * ((own & stable).bit_count() - (opp & stable).bit_count())
 
     score += weights.discs * (own.bit_count() - opp.bit_count())
     return score
@@ -130,10 +128,20 @@ _CORNER_NEIGHBOURHOODS = (
 )
 
 
-def _squares_near_empty_corners(empty: int, squares: int) -> int:
-    """Subset of ``squares`` whose governing corner is still empty."""
-    dangerous = 0
-    for corner, neighbourhood in _CORNER_NEIGHBOURHOODS:
-        if empty & corner:
-            dangerous |= squares & neighbourhood
-    return dangerous
+def _danger_table() -> dict[int, tuple[int, int]]:
+    """X- and C-squares next to an empty corner, for every set of empty corners."""
+    table: dict[int, tuple[int, int]] = {}
+    empty_corners = CORNERS
+    while True:
+        near = 0
+        for corner, around in _CORNER_NEIGHBOURHOODS:
+            if empty_corners & corner:
+                near |= around
+        table[empty_corners] = (X_SQUARES & near, C_SQUARES & near)
+        if not empty_corners:
+            return table
+        empty_corners = (empty_corners - 1) & CORNERS
+
+
+#: ``(danger_x, danger_c)`` keyed by ``empty & CORNERS``.
+_DANGER = _danger_table()

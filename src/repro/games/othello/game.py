@@ -79,10 +79,13 @@ class Othello:
                 return ()  # Neither side can move: game over.
             # Forced pass: hand the move to the opponent.
             return (OthelloPosition(position.opp, position.own, other),)
+        own, opp = position.own, position.opp
         successors = []
-        for move in B.bits(moves):
-            own2, opp2 = B.apply_move(position.own, position.opp, move)
-            successors.append(OthelloPosition(opp2, own2, other))
+        while moves:
+            move = moves & -moves
+            moves ^= move
+            flips = B.flips_for_move(own, opp, move)
+            successors.append(OthelloPosition(opp ^ flips, own | move | flips, other))
         return tuple(successors)
 
     def evaluate(self, position: OthelloPosition) -> float:

@@ -274,7 +274,7 @@ class RequestScheduler:
             raise ServeError("max_concurrency must be at least 1")
         if queue_limit < 0:
             raise ServeError("queue_limit must be non-negative")
-        self._engine = engine
+        self._engine: Optional[DeepeningEngine] = engine
         self._max_concurrency = max_concurrency
         self._queue_limit = queue_limit
         self._clock: Callable[[], float] = clock if clock is not None else time.monotonic
@@ -415,10 +415,12 @@ class RequestScheduler:
         failure = ""
         stalled = False
         iteration_bounds: list[tuple[float, float]] = []
+        engine = self._engine
+        assert engine is not None, "a detached scheduler runs nothing"
         try:
             for depth in range(1, request.max_depth + 1):
                 iter_start = self._clock()
-                best = await self._engine.run_iteration(request, depth)
+                best = await engine.run_iteration(request, depth)
                 iter_end = self._clock()
                 iteration_bounds.append((iter_start, iter_end))
                 depth_reached = depth
@@ -547,6 +549,21 @@ class RequestScheduler:
         while self.in_flight > 0:
             self._idle_event.clear()
             await self._idle_event.wait()
+
+    def detach(self) -> None:
+        """Drop the engine and the sinks of a drained scheduler.
+
+        An owner whose engine or sinks call back into it (the service's
+        resolver and flight recorder) would otherwise stay in a
+        reference cycle with this scheduler once stopped.  The counters
+        stay readable; later submissions are shed as during a drain.
+        """
+        if self.in_flight:
+            raise ServeError("detach() needs a drained scheduler")
+        self._draining = True
+        self._engine = None
+        self._trace_sink = None
+        self._stall_sink = None
 
     async def abort(self) -> None:
         """Hard stop: shed the queue, cancel running work, resolve everything."""

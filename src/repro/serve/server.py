@@ -310,6 +310,12 @@ class SearchService:
         if self._metrics_server is not None:
             self._metrics_server.stop()
             self._metrics_server = None
+        # Break the cycles back into this service (the engine's resolver,
+        # the stall sink, the listener's connection callback) so that
+        # reference counting alone frees it, its metrics and its pool.
+        if self.scheduler is not None:
+            self.scheduler.detach()
+        self._server = None
         if self._done is not None:
             self._done.set()
 

@@ -1,11 +1,14 @@
 """Unit tests for the Othello bitboard, cross-checked against a naive
 array-based reference implementation."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import IllegalMoveError
+from repro.games.othello import BLACK, WHITE, Othello, OthelloPosition
 from repro.games.othello import board as B
 
 # ---------------------------------------------------------------------------
@@ -64,11 +67,73 @@ def naive_flips(own: int, opp: int, move: int) -> int:
     return flips
 
 
+def on_board(r: int, c: int) -> bool:
+    return 0 <= r < 8 and 0 <= c < 8
+
+
+def naive_frontier(own: int, opp: int) -> int:
+    grid = to_grid(own, opp)
+    frontier = 0
+    for r in range(8):
+        for c in range(8):
+            if grid[r][c] == 1 and any(
+                on_board(r + dr, c + dc) and grid[r + dr][c + dc] == 0 for dr, dc in DIRS
+            ):
+                frontier |= 1 << (r * 8 + c)
+    return frontier
+
+
+def naive_stable_edge_discs(own: int, opp: int) -> int:
+    """Own discs in a same-color run from a corner along an edge."""
+    grid = to_grid(own, opp)
+    stable = 0
+    for r, c in ((0, 0), (0, 7), (7, 0), (7, 7)):
+        color = grid[r][c]
+        if color == 0:
+            continue
+        # Walk from the corner along its row and along its column.
+        for dr, dc in ((0, 1 if c == 0 else -1), (1 if r == 0 else -1, 0)):
+            rr, cc = r, c
+            while on_board(rr, cc) and grid[rr][cc] == color:
+                if color == 1:
+                    stable |= 1 << (rr * 8 + cc)
+                rr += dr
+                cc += dc
+    return stable
+
+
 def random_position(rng_bits: int):
     """Derive a plausible random position from 128 bits of entropy."""
     own = rng_bits & B.FULL
     opp = (rng_bits >> 64) & B.FULL & ~own
     return own, opp
+
+
+def sparse_position(rng_bits: int):
+    """A position with about 60% of squares empty, from 192 bits.
+
+    Each side's word is ANDed with a third random word, so opening-like
+    boards with long empty stretches are drawn as often as crowded ones.
+    """
+    own, opp = random_position(rng_bits)
+    keep = (rng_bits >> 128) & B.FULL
+    return own & keep, opp & keep
+
+
+def seeded_position(seed: int):
+    """A dense board (about 25% empty) or a sparse one, equally often.
+
+    The words come from a generator seeded by the drawn integer, not from
+    the integer itself: Hypothesis leans towards small values, and those
+    are boards with almost no discs and no legal move.
+    """
+    rng = random.Random(seed)
+    if rng.getrandbits(1):
+        return sparse_position(rng.getrandbits(192))
+    return random_position(rng.getrandbits(128))
+
+
+positions = st.integers(min_value=0, max_value=2**32 - 1).map(seeded_position)
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +169,49 @@ class TestApplyMove:
 
 
 class TestAgainstNaiveReference:
-    @given(st.integers(min_value=0, max_value=2**128 - 1))
-    def test_legal_moves_match(self, bits):
-        own, opp = random_position(bits)
+    @given(positions)
+    def test_legal_moves_match(self, position):
+        own, opp = position
         assert B.legal_moves(own, opp) == naive_legal_moves(own, opp)
 
-    @given(st.integers(min_value=0, max_value=2**128 - 1))
-    def test_flips_match_for_every_legal_move(self, bits):
-        own, opp = random_position(bits)
+    @given(positions)
+    def test_both_legal_moves_match(self, position):
+        own, opp = position
+        assert B.both_legal_moves(own, opp) == (
+            naive_legal_moves(own, opp),
+            naive_legal_moves(opp, own),
+        )
+
+    @given(positions)
+    def test_flips_match_for_every_legal_move(self, position):
+        own, opp = position
         moves = B.legal_moves(own, opp)
         for move in B.bits(moves):
             assert B.flips_for_move(own, opp, move) == naive_flips(own, opp, move)
+
+    @given(positions)
+    def test_frontier_matches(self, position):
+        own, opp = position
+        assert B.frontier(own, opp) == naive_frontier(own, opp)
+        assert B.frontier(opp, own) == naive_frontier(opp, own)
+
+    @given(positions)
+    def test_stable_edge_discs_match(self, position):
+        own, opp = position
+        assert B.stable_edge_discs(own, opp) == naive_stable_edge_discs(own, opp)
+        assert B.stable_edge_discs(opp, own) == naive_stable_edge_discs(opp, own)
+
+    @given(positions, st.sampled_from([BLACK, WHITE]))
+    def test_children_match_apply_move(self, position, color):
+        own, opp = position
+        moves = B.legal_moves(own, opp)
+        expected = []
+        for move in B.bits(moves):
+            own2, opp2 = B.apply_move(own, opp, move)
+            expected.append(OthelloPosition(opp2, own2, 1 - color))
+        if not moves and B.legal_moves(opp, own):
+            expected.append(OthelloPosition(opp, own, 1 - color))
+        assert Othello().children(OthelloPosition(own, opp, color)) == tuple(expected)
 
 
 class TestSquareNames:

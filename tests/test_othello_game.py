@@ -1,5 +1,8 @@
 """Unit tests for the Othello game adapter and evaluator."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import GameError
@@ -107,3 +110,42 @@ class TestSearchOnOthello:
     def test_render(self):
         text = Othello.render(START)
         assert "black to move" in text
+
+
+def playout_digest(playouts_per_root: int = 12, seed: int = 0xD16E57) -> tuple[str, int]:
+    """SHA-256 over seeded random playouts from START and O1-O3.
+
+    Every visited position contributes its ``evaluate`` float bits and
+    then each child ``(own, opp, color)`` in the order ``children``
+    yields them, so the digest pins move generation, flipping, move
+    order and evaluation together.  Returns the digest and the number
+    of positions visited.
+    """
+    game = Othello()
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    visited = 0
+    for root in (START, O1_ROOT, O2_ROOT, O3_ROOT):
+        for _ in range(playouts_per_root):
+            position = root
+            while True:
+                digest.update(evaluate(position.own, position.opp).hex().encode())
+                kids = game.children(position)
+                for kid in kids:
+                    digest.update(f"{kid.own:x},{kid.opp:x},{kid.color};".encode())
+                visited += 1
+                if not kids:
+                    break
+                position = kids[rng.randrange(len(kids))]
+    return digest.hexdigest(), visited
+
+
+class TestGoldenSemantics:
+    def test_playout_digest(self):
+        # Absolute values, not a comparison between two kernels: any
+        # change to Othello rules, move order or evaluation arithmetic
+        # changes the digest.
+        assert playout_digest() == (
+            "96f0fe5275611344f92da48f03f9009b4e8495a167c043a67928179bca08dbe0",
+            2263,
+        )

@@ -10,7 +10,9 @@ the persistent-pool plumbing through ``multiproc_er``/``GameEngine``.
 from __future__ import annotations
 
 import asyncio
+import gc
 import urllib.request
+import weakref
 
 import pytest
 
@@ -224,6 +226,33 @@ class TestServiceOverTCP:
         text = run(scenario())
         assert "repro_serve_requests_completed 1" in text
         assert "repro_serve_latency_seconds_count 1" in text
+
+    def test_stopped_service_is_freed_without_the_cycle_collector(self) -> None:
+        # A stopped service must not sit in a reference cycle: a
+        # restarting host would otherwise keep every old service, its
+        # metrics and its pool until the collector happens to run.
+        async def scenario():
+            service = await SearchService(small_config(metrics_port=0)).start()
+            host, port = service.address
+            async with ServiceClient(host, port) as client:
+                await client.search(
+                    SearchRequest(request_id="tcp", workload="R3", max_depth=2)
+                )
+            await service.handle(
+                SearchRequest(request_id="local", workload="R3", max_depth=2)
+            )
+            await service.shutdown()
+            assert service.scheduler is not None
+            assert service.scheduler.conservation_problems() == []
+            return weakref.ref(service), weakref.ref(service.metrics), weakref.ref(service.pool)
+
+        gc.collect()
+        gc.disable()
+        try:
+            refs = run(scenario())
+            assert [ref() is None for ref in refs] == [True, True, True]
+        finally:
+            gc.enable()
 
 
 # -- persistent pool through the classic entry points -----------------------
