@@ -44,7 +44,7 @@ the differential battery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
@@ -68,9 +68,14 @@ class TTView(Protocol):
     def store(self, key: int, entry: TTEntry, /) -> None: ...
 
 
-@dataclass
+@dataclass(slots=True)
 class ERRecord:
-    """Per-node state of Figure 8: tentative value, done flag, children."""
+    """Per-node state of Figure 8: tentative value, done flag, children.
+
+    ``path`` (successor indices from the search root) is filled in only
+    when the stats keep a node trace, the one reader of it; otherwise it
+    stays empty and no per-node path tuple is built.
+    """
 
     position: Position
     path: Path
@@ -190,8 +195,9 @@ class _SerialER:
                 self.stats.on_ordering(len(successors), self.cost_model)
                 static = [game.evaluate(child) for child in successors]
             order.sort(key=static.__getitem__)
+        traced = self.stats.trace is not None
         record.children = [
-            ERRecord(successors[index], record.path + (index,), record.ply + 1)
+            ERRecord(successors[index], record.path + (index,) if traced else (), record.ply + 1)
             for index in order
         ]
         # Horizon-frontier prefetch: when every child sits on the horizon,

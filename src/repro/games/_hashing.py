@@ -6,6 +6,13 @@ so every random quantity in the synthetic games is *derived* from the
 node's path with a SplitMix64-style mixer: the same (seed, path) always
 yields the same value, trees never occupy memory, and two searches of the
 same tree — serial, parallel, or interleaved — see identical values.
+
+:func:`path_hash` is the definition of every such value.  It folds the
+path one element at a time, so the hash of a child is one SplitMix64
+step from its parent's: :class:`~repro.games.random_tree.TreePosition`
+carries that running state down the tree, and a node costs one step
+instead of one per ply.  The carried state is only a cache of
+:func:`path_hash`; a position without it falls back to this function.
 """
 
 from __future__ import annotations

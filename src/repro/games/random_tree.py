@@ -18,19 +18,24 @@ Three families are provided:
   alpha-beta visits exactly the Knuth–Moore minimal tree, which the test
   suite checks against the closed-form leaf count of Section 2.2.
 
-All three are lazy: positions are just node paths plus cached metadata,
-and every random quantity is recomputed from a splittable hash.
+All three are lazy: positions are node paths, and every random quantity
+is derived from a splittable hash of the path (:func:`path_hash`).  A
+position made by ``children`` links to its parent and caches the running
+hash of the streams read at every node (leaf value, interior value,
+transposition key), so evaluating it costs one SplitMix64 step from its
+parent's state, and children cut off before they are evaluated cost no
+hashing at all.  Streams read once per node (incremental scores, ordered
+tree draws) run one fold along the path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from ..errors import GameError
 from . import _numpy
 from .base import Path
-from ._hashing import _GOLDEN, _MIX1, _MIX2, path_hash, uniform_int
+from ._hashing import _GOLDEN, _MIX1, _MIX2, path_hash, splitmix64, uniform_int
 
 #: Hash stream reserved for transposition keys (streams 0-7 carry leaf
 #: values, ordering noise, and tree-shape draws).
@@ -72,18 +77,104 @@ def _path_matrix(
     ).reshape(len(rows), length)
 
 
-@dataclass(frozen=True)
+#: The streams a position carries fold state for, and the slot holding
+#: each: leaf values, interior values, and transposition keys.
+_STATE_SLOTS = {0: "_leaf", 1: "_inner", _KEY_STREAM: "_key"}
+
+
 class TreePosition:
-    """A position in a synthetic tree: its path from the root."""
+    """A position in a synthetic tree: its path from the root.
+
+    Equality and ``hash()`` look at ``path`` alone, and a pickle carries
+    ``path`` alone.  A position made by ``children`` also links to its
+    parent, so :meth:`fold` can extend the parent's cached hash by one
+    SplitMix64 step instead of re-folding the whole path.
+    """
+
+    __slots__ = ("path", "_parent", "_seed", "_leaf", "_inner", "_key")
 
     path: Path
+    _parent: Optional["TreePosition"]
+    # Fold states belong to one seed: a position built by one tree may be
+    # evaluated by another.  The state slots are read only while ``_seed``
+    # matches, and they are reset before ``_seed`` is set.
+    _seed: Optional[int]
+    _leaf: Optional[int]
+    _inner: Optional[int]
+    _key: Optional[int]
+
+    def __init__(self, path: Path, parent: Optional["TreePosition"] = None):
+        self.path = path
+        self._parent = parent
+        self._seed = None
 
     @property
     def ply(self) -> int:
         return len(self.path)
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TreePosition):
+            return self.path == other.path
+        return NotImplemented
 
-class RandomGameTree:
+    def __hash__(self) -> int:
+        return hash((self.path,))
+
+    def __repr__(self) -> str:
+        return f"TreePosition(path={self.path!r})"
+
+    def __reduce__(self) -> tuple[type, tuple[Path]]:
+        return (TreePosition, (self.path,))
+
+    def fold(self, seed: int, stream: int) -> int:
+        """``path_hash(seed, self.path, stream)`` for a carried stream.
+
+        One SplitMix64 step from the parent's state, which is computed
+        the same way and cached; a position with no parent falls back to
+        :func:`path_hash`.
+        """
+        slot = _STATE_SLOTS[stream]
+        if self._seed != seed:
+            self._leaf = self._inner = self._key = None
+            self._seed = seed
+        else:
+            h = getattr(self, slot)
+            if h is not None:
+                return h
+        parent = self._parent
+        if parent is None:
+            h = path_hash(seed, self.path, stream)
+        else:
+            h = splitmix64(parent.fold(seed, stream) ^ (self.path[-1] + 1))
+        setattr(self, slot, h)
+        return h
+
+
+class _PathTree:
+    """Shape and keys shared by the synthetic trees: a complete
+    ``degree``-ary tree of ``height`` plies whose positions are paths."""
+
+    degree: int
+    height: int
+    seed: int
+
+    def root(self) -> TreePosition:
+        return TreePosition(())
+
+    def children(self, position: TreePosition) -> Sequence[TreePosition]:
+        path = position.path
+        if len(path) >= self.height:
+            return ()
+        return tuple([TreePosition(path + (i,), position) for i in range(self.degree)])
+
+    def hash_key(self, position: TreePosition) -> int:
+        """Transposition key: synthetic positions *are* their paths, so the
+        key is a path hash salted with the tree's seed (two different
+        trees must never share keys in a table that outlives one run)."""
+        return position.fold(self.seed, _KEY_STREAM)
+
+
+class RandomGameTree(_PathTree):
     """Complete ``degree``-ary tree of ``height`` plies, iid uniform leaves.
 
     Args:
@@ -105,22 +196,13 @@ class RandomGameTree:
         self.seed = seed
         self.value_range = value_range
 
-    def root(self) -> TreePosition:
-        return TreePosition(())
-
-    def children(self, position: TreePosition) -> Sequence[TreePosition]:
-        if position.ply >= self.height:
-            return ()
-        path = position.path
-        return tuple(TreePosition(path + (i,)) for i in range(self.degree))
-
     def evaluate(self, position: TreePosition) -> float:
         # Leaves get the paper's iid uniform values; interior nodes get an
         # independent draw, modelling a completely uninformative evaluator.
-        stream = 0 if position.ply >= self.height else 1
-        return float(
-            uniform_int(self.seed, position.path, -self.value_range, self.value_range, stream)
-        )
+        # ``uniform_int`` over the carried fold state.
+        stream = 0 if len(position.path) >= self.height else 1
+        span = 2 * self.value_range + 1
+        return float(position.fold(self.seed, stream) % span - self.value_range)
 
     def batch_eval(self, positions: Sequence[TreePosition]) -> list[float]:
         """Vectorized evaluation of many positions (numpy fast path).
@@ -146,18 +228,12 @@ class RandomGameTree:
                 out[row] = float(values[i])
         return out
 
-    def hash_key(self, position: TreePosition) -> int:
-        """Transposition key: synthetic positions *are* their paths, so the
-        key is a path hash salted with the tree's seed (two different
-        trees must never share keys in a table that outlives one run)."""
-        return path_hash(self.seed, position.path, stream=_KEY_STREAM)
-
     def leaf_count(self) -> int:
         """Total leaves of the full tree (``degree ** height``)."""
         return self.degree**self.height
 
 
-class IncrementalGameTree:
+class IncrementalGameTree(_PathTree):
     """Strongly ordered random tree: values accumulate along edges.
 
     Each edge carries a uniform increment; a node's *true score* is the
@@ -189,24 +265,16 @@ class IncrementalGameTree:
         self.increment_range = increment_range
         self.noise = noise
 
-    def root(self) -> TreePosition:
-        return TreePosition(())
-
-    def children(self, position: TreePosition) -> Sequence[TreePosition]:
-        if position.ply >= self.height:
-            return ()
-        path = position.path
-        return tuple(TreePosition(path + (i,)) for i in range(self.degree))
-
-    def hash_key(self, position: TreePosition) -> int:
-        return path_hash(self.seed, position.path, stream=_KEY_STREAM)
-
     def _score(self, path: Path) -> int:
         """True accumulated score of a node, side-to-move point of view."""
+        # One running stream-0 fold: after ``index`` it is the hash of
+        # that prefix, whose uniform draw is the prefix's edge increment.
+        span = 2 * self.increment_range + 1
         score = 0
-        for ply in range(1, len(path) + 1):
-            inc = uniform_int(self.seed, path[:ply], -self.increment_range, self.increment_range)
-            score = -score + inc
+        h = path_hash(self.seed, ())
+        for index in path:
+            h = splitmix64(h ^ (index + 1))
+            score = -score + h % span - self.increment_range
         return score
 
     def evaluate(self, position: TreePosition) -> float:
@@ -254,7 +322,7 @@ class IncrementalGameTree:
         return out
 
 
-class SyntheticOrderedTree:
+class SyntheticOrderedTree(_PathTree):
     """Tree with a predetermined negmax value at every node.
 
     Construction (top-down, derived lazily from path hashes): the root is
@@ -300,36 +368,24 @@ class SyntheticOrderedTree:
             root_value = uniform_int(seed, (), -1000, 1000, stream=7)
         self.root_value = root_value
 
-    def root(self) -> TreePosition:
-        return TreePosition(())
-
-    def children(self, position: TreePosition) -> Sequence[TreePosition]:
-        if position.ply >= self.height:
-            return ()
-        path = position.path
-        return tuple(TreePosition(path + (i,)) for i in range(self.degree))
-
-    def hash_key(self, position: TreePosition) -> int:
-        return path_hash(self.seed, position.path, stream=_KEY_STREAM)
-
-    def _best_index(self, path: Path) -> int:
-        if self.best_child == "first":
-            return 0
-        if self.best_child == "last":
-            return self.degree - 1
-        return path_hash(self.seed, path, stream=3) % self.degree
-
     def assigned_value(self, path: Path) -> int:
         """The negmax value this construction assigns to a node."""
+        # Running folds, as in :meth:`batch_eval`: the best-child draw
+        # (stream 3) hashes the prefix before ``index``, the delta draw
+        # (stream 4) the prefix ending in it.
         value = self.root_value
-        for ply in range(len(path)):
-            prefix = path[:ply]
-            index = path[ply]
-            if index == self._best_index(prefix):
-                value = -value
+        h3 = path_hash(self.seed, (), stream=3)
+        h4 = path_hash(self.seed, (), stream=4)
+        for index in path:
+            if self.best_child == "first":
+                best = 0
+            elif self.best_child == "last":
+                best = self.degree - 1
             else:
-                delta = uniform_int(self.seed, path[: ply + 1], 1, self.delta_range, stream=4)
-                value = -value + delta
+                best = h3 % self.degree
+            h3 = splitmix64(h3 ^ (index + 1))
+            h4 = splitmix64(h4 ^ (index + 1))
+            value = -value if index == best else -value + h4 % self.delta_range + 1
         return value
 
     def evaluate(self, position: TreePosition) -> float:

@@ -1,10 +1,18 @@
 """Unit tests for the synthetic tree generators."""
 
+import hashlib
+import pickle
+import random
+import sys
+import threading
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import GameError
+from repro.games._hashing import path_hash, uniform_int
 from repro.games.base import SearchProblem
 from repro.games.random_tree import (
     IncrementalGameTree,
@@ -58,6 +66,111 @@ class TestRandomGameTree:
     def test_validation(self, kwargs):
         with pytest.raises(GameError):
             RandomGameTree(**kwargs)
+
+
+@dataclass(frozen=True)
+class _DataclassPosition:
+    """The semantics ``TreePosition`` had as a frozen dataclass."""
+
+    path: tuple
+
+
+def _families(degree, height, seed):
+    return (
+        RandomGameTree(degree, height, seed=seed),
+        IncrementalGameTree(degree, height, seed=seed),
+        SyntheticOrderedTree(degree, height, seed=seed, best_child="random"),
+    )
+
+
+@st.composite
+def _tree_paths(draw):
+    degree = draw(st.integers(1, 5))
+    height = draw(st.integers(0, 7))
+    path = tuple(draw(st.lists(st.integers(0, degree - 1), max_size=height)))
+    return degree, height, path
+
+
+class TestTreePosition:
+    @given(_tree_paths(), st.integers(0, 2**32), st.integers(0, 2**32))
+    def test_values_do_not_depend_on_how_a_position_was_made(self, shape, seed, other_seed):
+        degree, height, path = shape
+        trees = zip(_families(degree, height, seed), _families(degree, height, other_seed))
+        for tree, other in trees:
+            reached = tree.root()
+            for index in path:
+                reached = tree.children(reached)[index]
+            first_by_other = other.root()
+            for index in path:
+                first_by_other = other.children(first_by_other)[index]
+            other.evaluate(first_by_other)
+            other.hash_key(first_by_other)
+            fresh = TreePosition(path)
+            unpickled = pickle.loads(pickle.dumps(reached))
+            expected = (tree.evaluate(fresh), tree.hash_key(fresh))
+            assert expected[1] == path_hash(seed, path, stream=9)
+            for position in (reached, unpickled, first_by_other):
+                assert position.path == path
+                assert (tree.evaluate(position), tree.hash_key(position)) == expected
+
+    @given(_tree_paths(), st.integers(0, 50))
+    def test_equality_and_hash_match_the_dataclass(self, shape, seed):
+        degree, height, path = shape
+        tree = RandomGameTree(degree, height, seed=seed)
+        reached = tree.root()
+        for index in path:
+            reached = tree.children(reached)[index]
+        tree.evaluate(reached)
+        assert reached == TreePosition(path)
+        assert hash(reached) == hash(TreePosition(path)) == hash(_DataclassPosition(path))
+        assert reached != TreePosition(path + (0,))
+        assert reached != path and reached != _DataclassPosition(path)
+        assert reached.ply == len(path)
+
+    def test_pickle_carries_the_path_alone(self):
+        # A position with ``depth`` ancestors and cached hashes pickles to
+        # the same bytes as a parentless one: task payloads hold paths only.
+        tree = RandomGameTree(3, 12, seed=5)
+        for depth in range(13):
+            deep = tree.root()
+            for _ in range(depth):
+                deep = tree.children(deep)[2]
+            tree.evaluate(deep)
+            tree.hash_key(deep)
+            assert pickle.dumps(deep) == pickle.dumps(TreePosition(deep.path))
+
+    def test_threads_sharing_positions_read_the_definition(self):
+        # Fold states are cached in positions that threaded searches
+        # share; a torn update would leave a wrong state to be read.
+        tree = RandomGameTree(3, 6, seed=11)
+        frontier = [tree.root()]
+        for _ in range(6):
+            frontier = [kid for position in frontier for kid in tree.children(position)]
+        expected = {
+            p.path: (
+                uniform_int(11, p.path, -10_000, 10_000),
+                path_hash(11, p.path, stream=9),
+            )
+            for p in frontier
+        }
+        results = []
+
+        def worker(order_seed):
+            order = random.Random(order_seed).sample(frontier, len(frontier))
+            results.append({p.path: (tree.evaluate(p), tree.hash_key(p)) for p in order})
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * len(threads)
 
 
 class TestIncrementalGameTree:
@@ -134,3 +247,50 @@ class TestSyntheticOrderedTree:
 
         for path in [(), (0,), (1,), (2, 0), (1, 2)]:
             assert nm(path) == tree.assigned_value(path)
+
+
+def _golden_trees():
+    for seed in (0, 7, 303):
+        for degree, height in ((2, 9), (3, 6), (8, 7)):
+            yield RandomGameTree(degree, height, seed=seed)
+            yield IncrementalGameTree(degree, height, seed=seed)
+            yield IncrementalGameTree(degree, height, seed=seed, noise=0.0)
+            for placement in ("first", "last", "random"):
+                yield SyntheticOrderedTree(degree, height, seed=seed, best_child=placement)
+
+
+def walk_digest(walks_per_tree: int = 6, seed: int = 0x5EED) -> tuple[str, int]:
+    """SHA-256 over seeded root-to-leaf walks of every synthetic tree family.
+
+    Each visited node contributes its ``evaluate`` float bits (interior
+    and leaf alike), its ``hash_key``, and then every child path in the
+    order ``children`` yields them.  Returns the digest and the number of
+    nodes visited.
+    """
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    visited = 0
+    for tree in _golden_trees():
+        for _ in range(walks_per_tree):
+            position = tree.root()
+            while True:
+                digest.update(tree.evaluate(position).hex().encode())
+                digest.update(f"{tree.hash_key(position):x};".encode())
+                kids = tree.children(position)
+                for kid in kids:
+                    digest.update(f"{kid.path};".encode())
+                visited += 1
+                if not kids:
+                    break
+                position = kids[rng.randrange(len(kids))]
+    return digest.hexdigest(), visited
+
+
+class TestGoldenValues:
+    def test_walk_digest(self):
+        # Absolute values: any change to the path hash, a stream number,
+        # a value formula or child order changes the digest.
+        assert walk_digest() == (
+            "c4b8158d47365f887d3afb83bce3482011cec275812b4f2ae5df35b0f0f91748",
+            2700,
+        )

@@ -1,6 +1,7 @@
 """Unit tests for serial ER (the paper's Figure 8)."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given
@@ -122,3 +123,18 @@ class TestBehaviour:
         er_search(explicit_problem([[1, 2], [3, 4]]), stats=stats)
         assert () in stats.trace
         assert (0,) in stats.trace and (1,) in stats.trace
+
+    def test_trace_paths_follow_successor_order(self):
+        # Untraced records carry no path; a traced search must still name
+        # every node by successor indices in the game's order, also where
+        # sorting reorders the records.  Pinned bytes.
+        from repro.search.stats import SearchStats
+
+        stats = SearchStats.with_trace()
+        tree = IncrementalGameTree(4, 5, seed=1, noise=0.3)
+        er_search(SearchProblem(tree, depth=5, sort_below_root=5), stats=stats)
+        digest = hashlib.sha256(repr(sorted(stats.trace)).encode()).hexdigest()
+        assert (digest, len(stats.trace)) == (
+            "79cecf7dc781294c7d105c8d80cc9ba08b3b60a905c46bdb3810ec6485b3db7b",
+            198,
+        )
