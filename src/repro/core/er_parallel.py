@@ -4,8 +4,11 @@ Every simulated processor runs the same worker loop: take a node from the
 problem heap (primary queue first, speculative queue as a fallback),
 process it per Table 1, and when a subtree finishes, back its value up the
 tree with the ``combine`` procedure, dispatching follow-on work per
-Table 2.  The three speculative mechanisms of Section 5 are all present
-and individually switchable for the ablation benchmarks:
+Table 2.  Each Table 1 decision is one :class:`_Context` method, which
+the simulator's worker generators wrap in lock and cost ops and the
+multiproc coordinator (:class:`repro.parallel.multiproc.Coordinator`)
+calls directly.  The three speculative mechanisms of Section 5 are all
+present and individually switchable for the ablation benchmarks:
 
 * **parallel refutation** — once an e-node's first e-child is evaluated,
   every remaining child becomes an r-node and is refuted concurrently;
@@ -54,7 +57,7 @@ from ..obs import critpath as _cp
 from ..obs import events as _obs
 from ..parallel.base import ParallelResult
 from ..search.stats import SearchStats
-from ..search.transposition import Bound, TTEntry
+from ..search.transposition import Bound, TTEntry, usable_value
 from ..sim.engine import Engine
 from ..sim.locks import SimLock, WorkSignal
 from ..sim.ops import Acquire, Compute, Op, Release, WaitWork
@@ -66,6 +69,11 @@ from .serial_er import TTView, er_search
 E_NODE = "e"
 R_NODE = "r"
 UNDECIDED = "u"
+
+# Verdicts of the pop-time screen (:meth:`_Context.screen`).
+STALE = "stale"
+CUT = "cut"
+LIVE = "live"
 
 
 @dataclass(frozen=True)
@@ -321,6 +329,14 @@ class _Context:
 
     # -- heap operations (caller holds heap_lock) --------------------------
 
+    def publish(self, pushes: list[tuple[str, PNode]]) -> None:
+        """Push queued work onto the central primary/speculative queues."""
+        for queue_name, node in pushes:
+            if queue_name == "primary":
+                self.primary.push(node)
+            else:
+                self.speculative.push(node)
+
     def pop_work(self) -> tuple[Optional[PNode], bool]:
         node = self.primary.pop()
         if node is not None:
@@ -329,7 +345,7 @@ class _Context:
             return node, False
         node = self.speculative.pop()
         if node is not None:
-            # ``on_spec`` stays True until _process_speculative clears it
+            # ``on_spec`` stays True until speculative_step clears it
             # under the tree lock: every access to node state is tree-locked,
             # and a concurrent maybe_push_spec cannot double-push meanwhile.
             self._bump("pops_speculative")
@@ -533,6 +549,126 @@ class _Context:
         self._bump("refutation_conversions")
         self._emit(_obs.EV_CLASS_FLIP, child, flip="u->r")
         pushes.append(("primary", child))
+
+    # -- the Table 1 steps (caller holds tree_lock; see module docstring) -----
+
+    def screen(self, node: PNode) -> tuple[str, tuple[float, float]]:
+        """Pop-time screen of a primary node against the live tree.
+
+        Returns ``(verdict, window)``: :data:`STALE` when the node or an
+        ancestor already finished (nothing to do), :data:`CUT` when the
+        window refutes it (its value is raised to the cutoff floor; the
+        caller finishes it), else :data:`LIVE`.
+        """
+        self._note(node, _trace.READ)
+        if node.done or self.has_finished_ancestor(node):
+            self._bump("stale_discards")
+            return STALE, (NEG_INF, POS_INF)
+        window = self.window(node)
+        alpha, beta = window
+        if node.value >= beta or alpha >= beta:
+            self._note(node, _trace.WRITE)
+            if beta > node.value:
+                node.value = beta
+            self._bump("cutoff_discards")
+            return CUT, window
+        return LIVE, window
+
+    def at_serial_depth(self, node: PNode) -> bool:
+        """Whether ``node`` is searched serially in one piece (Table 3)."""
+        return node.ntype in (E_NODE, R_NODE) and node.ply >= self.config.serial_depth
+
+    def expand_children(self, node: PNode, pushes: list[tuple[str, PNode]]) -> None:
+        """Table 1 node generation above serial depth."""
+        self._note(node, _trace.WRITE)
+        if node.ntype == E_NODE:
+            # Generate all (remaining) children as undecided nodes.  A
+            # promoted e-child arrives here with its first child already
+            # evaluated; only the empty slots are dispatched.
+            assert node.children is not None
+            for index in range(node.n_children):
+                if node.children[index] is None:
+                    pushes.append(("primary", self.make_child(node, index, UNDECIDED)))
+            node.next_child = node.n_children
+        elif node.ntype == UNDECIDED:
+            # Generate the first child as an e-node.
+            if node.next_child == 0:
+                pushes.append(("primary", self.make_child(node, 0, E_NODE)))
+                node.next_child = 1
+        elif node.next_child < node.n_children:  # R_NODE: one child at a time
+            ntype = E_NODE if node.next_child == 0 else R_NODE
+            pushes.append(("primary", self.make_child(node, node.next_child, ntype)))
+            node.next_child += 1
+
+    def speculative_step(self, node: PNode, pushes: list[tuple[str, PNode]]) -> None:
+        """A speculative-queue pop: select one more e-child of ``node``."""
+        self._note(node, _trace.WRITE)
+        node.on_spec = False
+        if (
+            not node.done
+            and not self.has_finished_ancestor(node)
+            and not self.is_cut_off(node)
+            and self._active_e_children(node) < self.config.max_e_children
+        ):
+            if self.select_e_child(node, pushes, mandatory=False):
+                # Leave the node eligible for yet another e-child.
+                self.maybe_push_spec(node, pushes)
+        else:
+            self._bump("stale_discards")
+
+    def refute_plan(
+        self, node: PNode, window: tuple[float, float]
+    ) -> tuple[float, int, bool]:
+        """Plan the serial refutation of an r-node's remaining children.
+
+        Returns ``(value, start, settled)``: the running value
+        ``max(node.value, alpha)``, the first child left to search, and
+        whether the node finishes with ``value`` without searching —
+        because a sibling's result tightened the window since the pop-time
+        screen (``value >= beta``), or because no child is left.
+        """
+        self._note(node, _trace.READ)
+        value = max(node.value, window[0])
+        start = node.next_child
+        return value, start, value >= window[1] or start >= node.n_children
+
+    def finish(
+        self,
+        node: PNode,
+        pushes: list[tuple[str, PNode]],
+        *,
+        value: Optional[float] = None,
+        refute_if_cut: bool = False,
+    ) -> int:
+        """Mark ``node`` done and combine it; returns levels walked.
+
+        ``value`` is a search result to fold into ``node.value`` first.
+        ``refute_if_cut`` applies :meth:`_mark_refuted_if_cut` for
+        abandoned serial searches.
+        """
+        self._note(node, _trace.WRITE)
+        if value is not None and value > node.value:
+            node.value = value
+        if refute_if_cut:
+            self._mark_refuted_if_cut(node)
+        node.done = True
+        self._emit(_obs.EV_NODE_DONE, node, value=node.value, cutoff=False)
+        return self.combine(node, pushes)
+
+    def _mark_refuted_if_cut(self, node: PNode) -> None:
+        """After an abort caused by a live-window cutoff, record "refuted".
+
+        Fail-hard semantics: a node cut off at ``beta`` stands for "at
+        least beta", which its parent folds in as a no-op or a legitimate
+        floor.  Aborts caused purely by a finished ancestor leave the
+        value alone — combine ignores the orphaned subtree entirely.
+        """
+        if node.done or self.has_finished_ancestor(node):
+            return
+        if self.is_cut_off(node):
+            _, beta = self.window(node)
+            if beta != POS_INF and beta > node.value:
+                node.value = beta
 
     # -- the combine procedure (Section 6) ----------------------------------
 
@@ -748,7 +884,7 @@ def _pop_distributed(
     yield Compute(cm.heap_op, tag="heap_op")
     spec = ctx.speculative.pop()
     if spec is not None:
-        # on_spec is cleared by _process_speculative under the tree lock.
+        # on_spec is cleared by speculative_step under the tree lock.
         ctx._bump("pops_speculative")
         ctx._emit(_obs.EV_NODE_POPPED, spec, speculative=True)
     yield Release(ctx.heap_lock)
@@ -780,11 +916,7 @@ def _push_all(
         return
     yield Acquire(ctx.heap_lock)
     yield Compute(ctx.cost_model.heap_op * len(pushes), tag="heap_op")
-    for queue_name, node in pushes:
-        if queue_name == "primary":
-            ctx.primary.push(node)
-        else:
-            ctx.speculative.push(node)
+    ctx.publish(pushes)
     ctx.work.notify_all()
     yield Release(ctx.heap_lock)
 
@@ -798,25 +930,15 @@ def _finish_node(
     value: Optional[float] = None,
     refute_if_cut: bool = False,
 ) -> Generator[Op, None, None]:
-    """Mark ``node`` done and run combine under the tree lock.
+    """Run :meth:`_Context.finish` under the tree lock.
 
-    ``value`` is a search result to fold into ``node.value`` before the
-    combine; it is applied here, under the tree lock, so no worker ever
-    writes tree state unlocked (publishing the value and marking the node
-    done are one critical section).  ``refute_if_cut`` applies
-    :func:`_mark_refuted_if_cut` for abandoned serial searches, likewise
-    inside the lock.
+    The search result ``value`` is published under the lock, so no worker
+    ever writes tree state unlocked (publishing the value and marking the
+    node done are one critical section).
     """
     yield Acquire(ctx.tree_lock)
-    ctx._note(node, _trace.WRITE)
-    if value is not None and value > node.value:
-        node.value = value
-    if refute_if_cut:
-        _mark_refuted_if_cut(ctx, node)
-    node.done = True
-    ctx._emit(_obs.EV_NODE_DONE, node, value=node.value, cutoff=False)
     pushes: list[tuple[str, PNode]] = []
-    levels = ctx.combine(node, pushes)
+    levels = ctx.finish(node, pushes, value=value, refute_if_cut=refute_if_cut)
     yield Compute(
         ctx.cost_model.combine_step * max(1, levels),
         tag="combine_step", node=_cp_path(node), cls=node.ntype,
@@ -835,19 +957,7 @@ def _process_speculative(
     yield Acquire(ctx.tree_lock)
     yield Compute(cm.bookkeeping, tag="bookkeeping", node=_cp_path(node), cls=node.ntype)
     pushes: list[tuple[str, PNode]] = []
-    ctx._note(node, _trace.WRITE)
-    node.on_spec = False
-    if (
-        not node.done
-        and not ctx.has_finished_ancestor(node)
-        and not ctx.is_cut_off(node)
-        and ctx._active_e_children(node) < ctx.config.max_e_children
-    ):
-        if ctx.select_e_child(node, pushes, mandatory=False):
-            # Leave the node eligible for yet another e-child.
-            ctx.maybe_push_spec(node, pushes)
-    else:
-        ctx._bump("stale_discards")
+    ctx.speculative_step(node, pushes)
     yield Release(ctx.tree_lock)
     yield from _push_all(ctx, pushes, pid)
 
@@ -882,17 +992,9 @@ def _tt_probe_parallel(
     """
     if ctx.tt is None:
         return None
-    alpha, beta = window
     stats.on_tt_probe(ctx.cost_model)
     entry = yield from ctx.tt.view(pid).probe_op(hash_key(ctx.problem.game, node.position))
-    if entry is None or entry.depth < ctx.problem.depth - node.ply:
-        return None
-    usable = (
-        entry.bound is Bound.EXACT
-        or (entry.bound is Bound.LOWER and entry.value >= beta)
-        or (entry.bound is Bound.UPPER and entry.value <= alpha)
-    )
-    return entry.value if usable else None
+    return usable_value(entry, ctx.problem.depth - node.ply, *window)
 
 
 def _tt_store_leaf(
@@ -951,27 +1053,17 @@ def _process_primary(
 ) -> Generator[Op, None, None]:
     """Pop from the primary queue: Table 1 node generation."""
     cm = ctx.cost_model
-    cfg = ctx.config
 
     # Staleness and cutoff screening against the live tree.
     yield Acquire(ctx.tree_lock)
     yield Compute(cm.bookkeeping, tag="bookkeeping", node=_cp_path(node), cls=node.ntype)
-    ctx._note(node, _trace.READ)
-    if node.done or ctx.has_finished_ancestor(node):
-        ctx._bump("stale_discards")
-        yield Release(ctx.tree_lock)
+    verdict, window = ctx.screen(node)
+    yield Release(ctx.tree_lock)
+    if verdict == STALE:
         return
-    if ctx.is_cut_off(node):
-        _, beta = ctx.window(node)
-        ctx._note(node, _trace.WRITE)
-        if beta > node.value:
-            node.value = beta
-        ctx._bump("cutoff_discards")
-        yield Release(ctx.tree_lock)
+    if verdict == CUT:
         yield from _finish_node(ctx, node, stats, pid)
         return
-    window = ctx.window(node)
-    yield Release(ctx.tree_lock)
 
     # A transposition may already answer this whole subtree (no locks
     # held; the cutoff semantics of a usable bounded hit mirror the
@@ -1007,7 +1099,7 @@ def _process_primary(
         yield from _finish_node(ctx, node, stats, pid, value=leaf_value)
         return
 
-    if node.ntype in (E_NODE, R_NODE) and node.ply >= cfg.serial_depth:
+    if ctx.at_serial_depth(node):
         if node.next_child > 0:
             # First child already fully evaluated while the node was
             # undecided: search only the remaining children serially.
@@ -1019,26 +1111,7 @@ def _process_primary(
     pushes: list[tuple[str, PNode]] = []
     yield Acquire(ctx.tree_lock)
     yield Compute(cm.bookkeeping, tag="bookkeeping", node=_cp_path(node), cls=node.ntype)
-    ctx._note(node, _trace.WRITE)
-    if node.ntype == E_NODE:
-        # Table 1: generate all (remaining) children as undecided nodes.
-        # A promoted e-child arrives here with its first child already
-        # evaluated; only the empty slots are dispatched.
-        assert node.children is not None
-        for index in range(node.n_children):
-            if node.children[index] is None:
-                pushes.append(("primary", ctx.make_child(node, index, UNDECIDED)))
-        node.next_child = node.n_children
-    elif node.ntype == UNDECIDED:
-        # Table 1: generate the first child as an e-node.
-        if node.next_child == 0:
-            pushes.append(("primary", ctx.make_child(node, 0, E_NODE)))
-            node.next_child = 1
-    else:  # R_NODE above serial depth
-        if node.next_child < node.n_children:
-            ntype = E_NODE if node.next_child == 0 else R_NODE
-            pushes.append(("primary", ctx.make_child(node, node.next_child, ntype)))
-            node.next_child += 1
+    ctx.expand_children(node, pushes)
     yield Release(ctx.tree_lock)
     yield from _push_all(ctx, pushes, pid)
 
@@ -1136,22 +1209,6 @@ def _serial_evaluate(
     )
 
 
-def _mark_refuted_if_cut(ctx: _Context, node: PNode) -> None:
-    """After an abort caused by a live-window cutoff, record "refuted".
-
-    Fail-hard semantics: a node cut off at ``beta`` stands for "at least
-    beta", which its parent folds in as a no-op or a legitimate floor.
-    Aborts caused purely by a finished ancestor leave the value alone —
-    combine ignores the orphaned subtree entirely.
-    """
-    if node.done or ctx.has_finished_ancestor(node):
-        return
-    if ctx.is_cut_off(node):
-        _, beta = ctx.window(node)
-        if beta != POS_INF and beta > node.value:
-            node.value = beta
-
-
 def _serial_refute_remaining(
     ctx: _Context, node: PNode, stats: SearchStats, window: tuple[float, float], pid: int = 0
 ) -> Generator[Op, None, None]:
@@ -1162,18 +1219,14 @@ def _serial_refute_remaining(
     remaining children are searched one by one with the tightening bound,
     exactly as serial ER's Refute_rest would.
     """
-    alpha, beta = window
+    beta = window[1]
     yield Acquire(ctx.tree_lock)
-    ctx._note(node, _trace.READ)
+    value, start, settled = ctx.refute_plan(node, window)
     moot = node.done  # finished concurrently (e.g. cut off by a late combine)
-    value = max(node.value, alpha)
-    start = node.next_child
     yield Release(ctx.tree_lock)
     if moot:
         return
-    if value >= beta:
-        # Refuted between the pop-time screen and now (a sibling's result
-        # tightened the window): record and combine without searching.
+    if settled:
         yield from _finish_node(ctx, node, stats, pid, value=value)
         return
     assert node.child_positions is not None

@@ -51,7 +51,7 @@ from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..eval.evaluator import Evaluator
 from ..games.base import NEG_INF, POS_INF, Path, Position, SearchProblem, hash_key
 from ..search.stats import SearchResult, SearchStats
-from ..search.transposition import Bound, TTEntry
+from ..search.transposition import Bound, TTEntry, usable_value
 
 
 class TTView(Protocol):
@@ -124,18 +124,12 @@ class _SerialER:
             return None
         self.stats.on_tt_probe(self.cost_model)
         entry = self.table.probe(self._key(record))
-        if entry is None or entry.depth < self.problem.depth - record.ply:
+        value = usable_value(entry, self.problem.depth - record.ply, alpha, beta)
+        if value is None:
             return None
-        usable = (
-            entry.bound is Bound.EXACT
-            or (entry.bound is Bound.LOWER and entry.value >= beta)
-            or (entry.bound is Bound.UPPER and entry.value <= alpha)
-        )
-        if not usable:
-            return None
-        record.value = entry.value
+        record.value = value
         record.done = True
-        return entry.value
+        return value
 
     def _tt_store(self, record: ERRecord, value: float, alpha: float, beta: float) -> None:
         """Store a *finished* result, classified against its window.

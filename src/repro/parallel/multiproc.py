@@ -9,14 +9,18 @@ worker **processes**, which bypasses CPython's GIL.
 Division of labour (mirroring the paper's Sequent implementation, where
 the shared problem heap was cheap and the static evaluator dominated):
 
-* The **coordinator** process hosts the problem heap — the very same
-  :class:`~repro.core.er_queues.PrimaryQueue` and
+* The **coordinator** process (:class:`Coordinator`) hosts the problem
+  heap — the very same :class:`~repro.core.er_queues.PrimaryQueue` and
   :class:`~repro.core.er_queues.SpeculativeQueue`, inside the very same
-  :class:`~repro.core.er_parallel._Context` the simulator uses — and runs
-  the Table 1/Table 2 node-generation and combine rules inline.  Because
-  a single process serves the heap, no locks are needed; the coordinator
-  plays the role a ``multiprocessing.Manager`` would, without paying one
-  IPC round-trip per queue operation.
+  :class:`~repro.core.er_parallel._Context` the simulator uses — and
+  takes each Table 1 decision with the simulator's own step methods:
+  the pop-time stale/cutoff ``screen``, ``expand_children``,
+  ``speculative_step``, ``refute_plan``, and ``finish``, which runs
+  Table 2's combine.  The simulator wraps each step in
+  ``Acquire``/``Compute``/``Release`` ops; the coordinator calls them
+  directly, because a single process serves the heap and needs no
+  locks.  It plays the role a ``multiprocessing.Manager`` would, without
+  paying one IPC round-trip per queue operation.
 * **Worker processes** execute the expensive part: whole serial-ER
   subtree searches below ``config.serial_depth`` (Table 3's "Serial
   Depth" cutover), exactly as the simulator's ``_serial_evaluate`` /
@@ -46,8 +50,9 @@ once per task.
 Semantics match the simulator's documented deviations: subtree searches
 run against the window captured at dispatch, results of subtrees
 orphaned by a cutoff are discarded on arrival (their node counts are
-still merged — the work *was* performed), and the combine procedure is
-byte-for-byte the simulator's (it is literally the same code).
+still merged — the work *was* performed), and a primary node takes the
+simulator's steps in the simulator's order — screen, shared-table
+probe, expansion, then leaf, serial task, or child generation.
 
 Loss accounting (paper Section 3.1), from per-worker counters: over the
 run's ``n_workers * wall_time`` processor-seconds,
@@ -69,26 +74,36 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from ..cache.sharedmem import SharedMemoryTT
 from ..cache.striped import TT_MODES
-from ..core.er_parallel import E_NODE, R_NODE, UNDECIDED, ERConfig, PNode, _Context
+from ..core.er_parallel import CUT, STALE, ERConfig, PNode, _Context
 from ..core.serial_er import TTView, er_search
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..errors import SearchError, ServeError, SimulationError
 from ..eval.cache import EVAL_CACHE_MODES, SharedMemoryEvalCache, StripedEvalCache
 from ..eval.evaluator import EvalCacheView, Evaluator
-from ..games.base import Game, Position, RootedGame, SearchProblem, hash_key, subproblem
+from ..games.base import (
+    NEG_INF,
+    POS_INF,
+    Game,
+    Position,
+    RootedGame,
+    SearchProblem,
+    hash_key,
+    subproblem,
+)
 from ..obs import events as _obs
 from ..obs import live as _live
 from ..search.stats import SearchStats
-from ..search.transposition import Bound, TranspositionTable, TTEntry
+from ..search.transposition import Bound, TranspositionTable, TTEntry, usable_value
 
 __all__ = [
     "IN_FLIGHT_PER_WORKER",
+    "Coordinator",
     "EnginePool",
     "MultiprocResult",
     "ScalingPoint",
@@ -327,6 +342,111 @@ TRACE_SPAN_LIMIT = 8192
 _SEGMENT_STRIPES = 8
 
 
+class WorkerLedger:
+    """Per-worker accounting of task results, keyed by stable worker index.
+
+    Indices are 0-based, in order of a worker's first result (see
+    :attr:`MultiprocResult.per_worker`).  Each :attr:`per_worker` row is
+    ``{"pid": pid, <split>: busy seconds, ...}``.  The trace blobs riding
+    on results feed per-worker span stores and ring counters, and task
+    round trips feed per-worker clock-offset estimators.
+
+    There is one instance per accounting scope.  An :class:`EnginePool`
+    keeps one for its lifetime, with span stores bounded by
+    :data:`TRACE_SPAN_LIMIT`.  Each search keeps its own, with a
+    ``wasted`` split for results that were moot on arrival.
+    """
+
+    def __init__(
+        self, splits: tuple[str, ...] = ("applied",), span_limit: Optional[int] = None
+    ) -> None:
+        self._splits = splits
+        self._span_limit = span_limit
+        self.per_worker: dict[int, dict[str, float]] = {}
+        self._pid_index: dict[int, int] = {}
+        self._spans: dict[int, deque[_live.SpanRec]] = {}
+        self._offsets: dict[int, _live.OffsetEstimator] = {}
+        self._dropped: dict[int, int] = {}
+        self._self_cost: dict[int, float] = {}
+
+    def index(self, pid: int) -> int:
+        """The stable index of the worker with OS pid ``pid``."""
+        return self._pid_index.setdefault(pid, len(self._pid_index))
+
+    def note(
+        self,
+        outcome: TaskOutcome,
+        split: str = "applied",
+        *,
+        submitted_at: Optional[float] = None,
+    ) -> tuple[int, float]:
+        """Fold one task result in; returns ``(worker index, busy seconds)``.
+
+        ``submitted_at`` (coordinator clock, :func:`repro.obs.live.wall_clock`)
+        turns the result into one clock-offset observation: ``(submit,
+        start, end, receive)`` brackets the worker-to-coordinator offset,
+        so collected spans can be rebased even across clock domains.
+        """
+        _, _, _, t_start, t_end, pid, _, blob = outcome
+        index = self.index(pid)
+        busy = max(0.0, t_end - t_start)
+        row = self.per_worker.get(index)
+        if row is None:
+            row = self.per_worker[index] = {
+                "pid": float(pid), **dict.fromkeys(self._splits, 0.0)
+            }
+        row[split] += busy
+        self.merge_blob(pid, blob)
+        if submitted_at is not None:
+            self._offsets.setdefault(index, _live.OffsetEstimator()).observe(
+                submitted_at, t_start, t_end, _live.wall_clock()
+            )
+        return index, busy
+
+    def merge_blob(self, pid: int, blob: Optional[_TraceBlob]) -> None:
+        """Keep one trace shipment from the worker with OS pid ``pid``."""
+        if blob is None:
+            return
+        index = self.index(pid)
+        spans, dropped, self_cost = blob
+        self._spans.setdefault(index, deque(maxlen=self._span_limit)).extend(spans)
+        # Counters are cumulative per worker, and shipments can arrive out
+        # of order, so keep the largest seen.
+        self._dropped[index] = max(self._dropped.get(index, 0), dropped)
+        self._self_cost[index] = max(self._self_cost.get(index, 0.0), self_cost)
+
+    def pids(self) -> dict[int, int]:
+        """Stable worker index -> OS pid."""
+        return {index: pid for pid, index in self._pid_index.items()}
+
+    def offsets(self) -> dict[int, float]:
+        """Clock offset per worker index with at least one observation."""
+        return {index: est.offset for index, est in self._offsets.items()}
+
+    def merged_spans(self) -> tuple[_live.WorkerSpan, ...]:
+        """Collected worker spans rebased onto the coordinator clock.
+
+        A worker without an offset observation is taken to share the
+        coordinator's clock (the common Linux case).
+        """
+        return _live.merge_spans(self._spans, self.offsets())
+
+    def live_trace(self, mode: str, coordinator: _live.SpanRing) -> _live.LiveTrace:
+        """The merged timeline of these workers plus the coordinator's ring."""
+        offsets = self.offsets()
+        coord_dropped, coord_cost = coordinator.snapshot_counters()
+        return _live.LiveTrace(
+            mode=mode,
+            spans=_live.merge_spans(
+                {**self._spans, _live.COORDINATOR: coordinator.drain()}, offsets
+            ),
+            pids={**self.pids(), _live.COORDINATOR: os.getpid()},
+            dropped={**self._dropped, _live.COORDINATOR: coord_dropped},
+            offsets=offsets,
+            self_cost_seconds=sum(self._self_cost.values()) + coord_cost,
+        )
+
+
 def _check_cache_modes(tt_mode: str, eval_cache_mode: str) -> None:
     if tt_mode not in TT_MODES:
         raise SearchError(f"unknown tt mode {tt_mode!r}; expected one of {TT_MODES}")
@@ -364,9 +484,9 @@ class EnginePool:
     locks come from that same context, so they survive the trip through
     :func:`_init_worker` under any start method.
 
-    The pool accumulates run-independent accounting: per-worker busy
-    seconds keyed by stable worker index (same convention as
-    :class:`MultiprocResult.per_worker`), merged
+    The pool accumulates run-independent accounting: a
+    :class:`WorkerLedger` of per-worker busy seconds and trace spans
+    (same index convention as :class:`MultiprocResult.per_worker`), merged
     :class:`~repro.search.stats.SearchStats` over every result passed to
     :meth:`note_outcome`, and task/short-circuit counters.  :meth:`close`
     is idempotent and tears down the executor and both shared segments;
@@ -427,10 +547,9 @@ class EnginePool:
             initargs=(tt_spec, eval_spec, trace_mode),
         )
         self.stats = SearchStats()
-        #: Stable worker index -> {"pid", "applied"} busy seconds; the
-        #: service has no moot results, so there is no "wasted" split.
-        self.per_worker: dict[int, dict[str, float]] = {}
-        self._pid_index: dict[int, int] = {}
+        #: Fed by :meth:`note_outcome`; the service has no moot results,
+        #: so there is no "wasted" split.
+        self._ledger = WorkerLedger(span_limit=TRACE_SPAN_LIMIT)
         self.counters: dict[str, int] = {
             "tasks_submitted": 0,
             "tasks_completed": 0,
@@ -438,15 +557,6 @@ class EnginePool:
         }
         self._closed = False
         self._final_counters: dict[str, int] = {}
-        #: Worker trace collection, fed by :meth:`note_outcome` from the
-        #: trace blobs riding on task results: per-pid span deques
-        #: (bounded), per-pid clock-offset estimators built from task
-        #: round-trips, and cumulative ring counters (max-merged — the
-        #: workers ship lifetime values with every result).
-        self._trace_spans: dict[int, deque[_live.SpanRec]] = {}
-        self._trace_offsets: dict[int, _live.OffsetEstimator] = {}
-        self._trace_dropped: dict[int, int] = {}
-        self._trace_self_cost: dict[int, float] = {}
 
     @property
     def executor(self) -> ProcessPoolExecutor:
@@ -473,6 +583,11 @@ class EnginePool:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def per_worker(self) -> dict[int, dict[str, float]]:
+        """Stable worker index -> ``{"pid", "applied"}`` busy seconds."""
+        return self._ledger.per_worker
 
     # -- task submission ----------------------------------------------------
 
@@ -503,57 +618,19 @@ class EnginePool:
     ) -> float:
         """Fold one task result into the pool's accounting; returns its value.
 
-        ``submitted_at`` (coordinator clock, :func:`repro.obs.live.wall_clock`)
-        turns this result's worker timestamps into one clock-offset
-        observation — ``(submit, start, end, receive)`` brackets the
-        worker-to-coordinator offset — so collected worker spans can be
-        rebased onto the service timeline even across clock domains.
+        ``submitted_at`` is as in :meth:`WorkerLedger.note`: it lets
+        collected worker spans be rebased onto the service timeline.
         """
-        _, value, packed, t_start, t_end, worker_pid, _, blob = outcome
-        self.stats.merge(_unpack_stats(packed))
-        index = self._pid_index.setdefault(worker_pid, len(self._pid_index))
-        split = self.per_worker.setdefault(
-            index, {"pid": float(worker_pid), "applied": 0.0}
-        )
-        split["applied"] += max(0.0, t_end - t_start)
+        self.stats.merge(_unpack_stats(outcome[2]))
+        self._ledger.note(outcome, submitted_at=submitted_at)
         self.counters["tasks_completed"] += 1
-        if blob is not None:
-            spans, dropped, self_cost = blob
-            store = self._trace_spans.setdefault(
-                worker_pid, deque(maxlen=TRACE_SPAN_LIMIT)
-            )
-            store.extend(spans)
-            self._trace_dropped[worker_pid] = max(
-                self._trace_dropped.get(worker_pid, 0), dropped
-            )
-            self._trace_self_cost[worker_pid] = max(
-                self._trace_self_cost.get(worker_pid, 0.0), self_cost
-            )
-        if submitted_at is not None:
-            estimator = self._trace_offsets.setdefault(
-                worker_pid, _live.OffsetEstimator()
-            )
-            estimator.observe(submitted_at, t_start, t_end, _live.wall_clock())
-        return value
+        return outcome[1]
 
     # -- collected worker traces --------------------------------------------
 
     def merged_spans(self) -> tuple[_live.WorkerSpan, ...]:
-        """Collected worker spans rebased onto the coordinator clock.
-
-        Keyed by stable worker index — the same convention as
-        :attr:`per_worker` — with each worker's clock offset taken from
-        its round-trip estimator (0 when the clock domains agree, the
-        common Linux case).
-        """
-        spans_by_worker: dict[int, tuple[_live.SpanRec, ...]] = {}
-        offsets: dict[int, float] = {}
-        for pid, spans in self._trace_spans.items():
-            index = self._pid_index.setdefault(pid, len(self._pid_index))
-            spans_by_worker[index] = tuple(spans)
-            estimator = self._trace_offsets.get(pid)
-            offsets[index] = estimator.offset if estimator is not None else 0.0
-        return _live.merge_spans(spans_by_worker, offsets)
+        """Collected worker spans rebased onto the coordinator clock."""
+        return self._ledger.merged_spans()
 
     def request_spans(self, request_id: str) -> tuple[_live.WorkerSpan, ...]:
         """Merged worker spans tagged as belonging to ``request_id``."""
@@ -567,29 +644,24 @@ class EnginePool:
 
     def span_pids(self) -> dict[int, int]:
         """Stable worker index -> OS pid, for labeling exported tracks."""
-        return {index: pid for pid, index in self._pid_index.items()}
-
-    def trace_dropped(self) -> int:
-        """Worker spans lost to ring overwrites (cumulative, all workers)."""
-        return sum(self._trace_dropped.values())
+        return self._ledger.pids()
 
     def probe_exact(self, game: Game, position: Position, depth: int) -> Optional[float]:
         """Answer a full-window subtree from the warm table, if it can.
 
-        Full-window searches only ever substitute EXACT entries (a
-        bound cannot answer an open window), proven at least ``depth``
-        deep — the same gate :func:`~repro.core.serial_er.er_search`
+        The gate is :func:`~repro.search.transposition.usable_value` at
+        the open window, the one :func:`~repro.core.serial_er.er_search`
         applies at the subtree's root, so a short-circuit here returns
-        exactly what the worker would have.
+        exactly what the worker would have.  At an open window only an
+        EXACT entry (or a bound at infinity) answers.
         """
         table = self.shared_tt
         if table is None:
             return None
-        entry = table.probe(hash_key(game, position))
-        if entry is None or entry.depth < depth or entry.bound is not Bound.EXACT:
-            return None
-        self.counters["tt_short_circuits"] += 1
-        return entry.value
+        value = usable_value(table.probe(hash_key(game, position)), depth, NEG_INF, POS_INF)
+        if value is not None:
+            self.counters["tt_short_circuits"] += 1
+        return value
 
     def clear_caches(self) -> None:
         """Zero the shared segments — the benchmark's "cold" mode.
@@ -645,36 +717,6 @@ class EnginePool:
 # ---------------------------------------------------------------------------
 # Coordinator side.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Pending:
-    """Bookkeeping for one in-flight subtree task."""
-
-    node: PNode
-    kind: str
-    submitted_at: float
-
-
-class _IdleMeter:
-    """Integrates worker idleness from the coordinator's event log.
-
-    Between consecutive submit/receive events, ``max(0, workers -
-    in_flight)`` workers had nothing to do; the accumulated integral is
-    the run's starvation processor-seconds.
-    """
-
-    def __init__(self, n_workers: int, start: float) -> None:
-        self.n_workers = n_workers
-        self._last = start
-        self._in_flight = 0
-        self.starved_seconds = 0.0
-
-    def record(self, now: float, delta: int) -> None:
-        gap = max(0.0, now - self._last)
-        self.starved_seconds += max(0, self.n_workers - self._in_flight) * gap
-        self._last = now
-        self._in_flight += delta
 
 
 @dataclass(frozen=True)
@@ -752,6 +794,324 @@ class MultiprocResult:
         return self._fraction(self.interference_seconds)
 
 
+class Coordinator:
+    """The coordinator process of one multiprocess ER search.
+
+    It applies the simulator's Table 1 steps to the heap it hosts (see
+    the module docstring).  What it adds is the task channel: a live
+    node at serial depth is shipped to ``executor`` as one
+    :func:`_run_task` (:meth:`submit`), and its result is folded back in
+    (:meth:`apply_result`, via :meth:`drain`).
+
+    Arguments are as in :func:`multiproc_er`, except that ``executor``
+    (anything with ``submit(fn, *args) -> Future``) and the shared
+    segments ``shared_tt``/``shared_eval`` stand in for the pool, and
+    ``config.distributed_heap`` must be off.
+    """
+
+    def __init__(
+        self,
+        problem: SearchProblem,
+        n_workers: int,
+        executor: Executor,
+        *,
+        config: ERConfig,
+        cost_model: CostModel = DEFAULT_COST_MODEL,
+        timeout: float = 300.0,
+        batch_eval: bool = False,
+        shared_tt: Optional[SharedMemoryTT] = None,
+        shared_eval: Optional[SharedMemoryEvalCache] = None,
+        trace: str = _live.TRACE_OFF,
+    ) -> None:
+        self.ctx = _Context(
+            problem, cost_model, config, trace=False, n_processors=n_workers,
+            batch_eval=batch_eval,
+        )
+        self.n_workers = n_workers
+        self.executor = executor
+        self.timeout = timeout
+        self.shared_tt = shared_tt
+        self.shared_eval = shared_eval
+        self.trace_mode = trace
+        #: Coordinator expansions plus every worker result that arrived.
+        self.stats = SearchStats()
+        #: In-flight task -> (its node, coordinator time of submission).
+        self.pending: dict[Future[TaskOutcome], tuple[PNode, float]] = {}
+        self.counters = {
+            "tasks_submitted": 0,
+            "tasks_applied": 0,
+            "tasks_discarded": 0,
+            "tasks_orphaned": 0,
+            "tt_coord_hits": 0,
+        }
+        self.ledger = WorkerLedger(splits=("applied", "wasted"))
+        # The coordinator's own ring captures its shared-table probes and
+        # heap waits; :meth:`run` installs it for the run.
+        self.ring = _live.ring_for_mode(trace)
+        self.wall_time = 0.0
+        #: Integrated worker idleness: see :meth:`_tick`.
+        self.starved_seconds = 0.0
+        self._start = self._last_event = time.perf_counter()
+
+    # -- the Table 1 step ---------------------------------------------------
+
+    def _tick(self) -> float:
+        """Integrate starvation up to now, before a submit or receive.
+
+        Since the previous submit or receive, ``max(0, workers -
+        in_flight)`` workers had nothing to do; returns the time now.
+        """
+        now = time.perf_counter()
+        idle = max(0, self.n_workers - len(self.pending))
+        self.starved_seconds += idle * max(0.0, now - self._last_event)
+        self._last_event = now
+        return now
+
+    def _finish(self, node: PNode, value: Optional[float] = None) -> None:
+        pushes: list[tuple[str, PNode]] = []
+        self.ctx.finish(node, pushes, value=value)
+        self.ctx.publish(pushes)
+
+    def _probe(self, node: PNode, window: tuple[float, float]) -> Optional[float]:
+        """Answer ``node``'s subtree from the shared table, if it can."""
+        if self.shared_tt is None:
+            return None
+        problem = self.ctx.problem
+        self.stats.on_tt_probe(self.ctx.cost_model)
+        entry = self.shared_tt.probe(hash_key(problem.game, node.position))
+        return usable_value(entry, problem.depth - node.ply, *window)
+
+    def _leaf_value(self, node: PNode) -> float:
+        """A coordinator leaf's static value, through the shared caches."""
+        problem, cm, stats = self.ctx.problem, self.ctx.cost_model, self.stats
+        key = 0
+        if self.shared_eval is not None or self.shared_tt is not None:
+            key = hash_key(problem.game, node.position)
+        cached: Optional[float] = None
+        if self.shared_eval is not None:
+            cached = self.shared_eval.probe(key)
+            stats.on_eval_probe(cm, hit=cached is not None)
+        if cached is not None:
+            stats.note_leaf(node.path)
+            value = cached
+        else:
+            stats.on_leaf(node.path, cm)
+            value = problem.game.evaluate(node.position)
+            if self.shared_eval is not None:
+                stats.on_eval_store(cm)
+                self.shared_eval.store(key, value)
+        if self.shared_tt is not None:
+            stats.on_tt_store(cm)
+            self.shared_tt.store(
+                key, TTEntry(value, problem.depth - node.ply, Bound.EXACT, None)
+            )
+        return value
+
+    def _primary(self, node: PNode) -> None:
+        """A primary-queue pop, in the simulator's order of steps."""
+        ctx = self.ctx
+        verdict, window = ctx.screen(node)
+        if verdict == STALE:
+            return
+        if verdict == CUT:
+            self._finish(node)
+            return
+        hit = self._probe(node, window)
+        if hit is not None:
+            self.counters["tt_coord_hits"] += 1
+            self._finish(node, hit)
+            return
+        ctx.expand_positions(node, self.stats)
+        if node.is_leaf:
+            self._finish(node, self._leaf_value(node))
+        elif ctx.at_serial_depth(node):
+            self.submit(node, window)
+        else:
+            pushes: list[tuple[str, PNode]] = []
+            ctx.expand_children(node, pushes)
+            ctx.publish(pushes)
+
+    # -- the task channel ---------------------------------------------------
+
+    def submit(self, node: PNode, window: tuple[float, float]) -> None:
+        """Ship a live node at serial depth to a worker as one task.
+
+        An r-node whose first child is already evaluated ships its
+        remaining children as one ``refute`` task, unless
+        :meth:`~repro.core.er_parallel._Context.refute_plan` settles it
+        without a search; any other node ships its whole subtree as an
+        ``eval`` task searched against ``window``.
+        """
+        ctx = self.ctx
+        problem = ctx.problem
+        ctx._bump("serial_searches")
+        payload: tuple[Any, ...]
+        if node.next_child > 0:
+            value, start, settled = ctx.refute_plan(node, window)
+            if settled:
+                self._finish(node, value)
+                return
+            assert node.child_positions is not None
+            payload = (
+                "refute",
+                problem.game,
+                list(node.child_positions[start:]),
+                problem.depth - node.ply - 1,
+                max(0, problem.sort_below_root - node.ply - 1),
+                value,
+                window[1],
+            )
+        else:
+            payload = ("eval", subproblem(problem, node.position, node.ply), *window)
+        future = self.executor.submit(_run_task, payload)
+        self.counters["tasks_submitted"] += 1
+        self.pending[future] = (node, self._tick())
+        ctx._emit(_obs.EV_TASK_SUBMIT, node, task=-1, kind=str(payload[0]))
+
+    def apply_result(self, node: PNode, outcome: TaskOutcome, submitted_at: float) -> None:
+        """Fold one task result into the tree, or discard it if moot.
+
+        A result is moot when its node or an ancestor finished while the
+        task ran: its worker time counts as ``wasted`` (speculative loss)
+        and its node counts are still merged, since the work was done.
+        """
+        self.stats.merge(_unpack_stats(outcome[2]))
+        moot = node.done or self.ctx.has_finished_ancestor(node)
+        index, duration = self.ledger.note(
+            outcome,
+            "wasted" if moot else "applied",
+            submitted_at=submitted_at if self.ring is not None else None,
+        )
+        self.ctx._emit(
+            _obs.EV_TASK_RESULT, node, task=-1, applied=not moot,
+            duration=duration, worker=index,
+        )
+        if moot:
+            self.counters["tasks_discarded"] += 1
+            self.ctx._bump("stale_discards")
+            return
+        self.counters["tasks_applied"] += 1
+        if outcome[0] == "refute":
+            node.next_child += outcome[6]
+        self._finish(node, outcome[1])
+
+    def drain(self, block: bool) -> None:
+        """Apply every completed task; with ``block``, wait for one first."""
+        if not self.pending:
+            return
+        if block:
+            # The coordinator is starved of heap work here: record the
+            # wait as a span so the merged timeline shows *why* workers
+            # were the bottleneck at that instant.
+            ring = self.ring
+            token = ring.begin() if ring is not None else -1.0
+            done, _ = wait(self.pending, timeout=self.timeout, return_when=FIRST_COMPLETED)
+            if ring is not None:
+                ring.end("heap", "wait", token)
+            if not done:
+                raise SimulationError(
+                    f"multiproc ER wedged: no task completed in {self.timeout:.0f}s"
+                )
+        else:
+            done = {future for future in self.pending if future.done()}
+        for future in done:
+            self._tick()
+            node, submitted_at = self.pending.pop(future)
+            error = future.exception()
+            if error is not None:
+                raise SimulationError(f"worker process failed: {error!r}") from error
+            self.apply_result(node, future.result(), submitted_at)
+
+    # -- the run ------------------------------------------------------------
+
+    def run(self) -> None:
+        """Pop and step until the root combines, then cancel leftovers.
+
+        Raises:
+            SimulationError: on a failed or wedged task, or a protocol
+                deadlock (empty heap with nothing in flight).
+        """
+        ctx = self.ctx
+        prev_ring = _live.RING
+        _live.RING = self.ring
+        try:
+            while not ctx.done:
+                self.drain(block=False)
+                if ctx.done:
+                    break
+                if len(self.pending) >= IN_FLIGHT_PER_WORKER * self.n_workers:
+                    self.drain(block=True)
+                    continue
+                node, from_spec = ctx.pop_work()
+                if node is None:
+                    if not self.pending:
+                        raise SimulationError(
+                            "multiproc ER deadlocked: empty heap with no tasks in flight"
+                        )
+                    self.drain(block=True)
+                    continue
+                if from_spec:
+                    pushes: list[tuple[str, PNode]] = []
+                    ctx.speculative_step(node, pushes)
+                    ctx.publish(pushes)
+                else:
+                    self._primary(node)
+        finally:
+            _live.RING = prev_ring
+        self.wall_time = time.perf_counter() - self._start
+        self._tick()
+        self.counters["tasks_orphaned"] = len(self.pending)
+        for future in self.pending:
+            future.cancel()
+
+    def flush(self) -> None:
+        """Collect the spans workers recorded after their last result.
+
+        Spans of orphaned tasks and trailing cache probes would otherwise
+        be lost when the pool closes.  Over-submit so every pool process
+        likely runs one flush; duplicates drain empty.  Best effort: a
+        dead worker just keeps its tail.
+        """
+        if self.ring is None:
+            return
+        flushes = [self.executor.submit(_flush_trace) for _ in range(2 * self.n_workers)]
+        for future in flushes:
+            try:
+                pid, blob = future.result(timeout=self.timeout)
+            except Exception:  # noqa: BLE001 - flush is best-effort
+                continue
+            self.ledger.merge_blob(pid, blob)
+
+    def result(self, pool_counters: Optional[dict[str, int]] = None) -> MultiprocResult:
+        """The finished run's value, counters and loss accounting.
+
+        ``pool_counters`` are the shared segments' totals of a pool closed
+        after this run; a persistent pool's belong to the pool instead.
+        """
+        extras: dict[str, Any] = {**self.ctx.counters, **self.counters, **(pool_counters or {})}
+        rows = self.ledger.per_worker.values()
+        applied = sum(row["applied"] for row in rows)
+        wasted = sum(row["wasted"] for row in rows)
+        capacity = self.n_workers * self.wall_time
+        starvation = min(self.starved_seconds, max(0.0, capacity - applied - wasted))
+        return MultiprocResult(
+            value=self.ctx.root.value,
+            n_workers=self.n_workers,
+            wall_time=self.wall_time,
+            stats=self.stats,
+            extras=extras,
+            busy_applied_seconds=applied,
+            busy_wasted_seconds=wasted,
+            starvation_seconds=starvation,
+            interference_seconds=max(0.0, capacity - applied - wasted - starvation),
+            per_worker=self.ledger.per_worker,
+            trace=(
+                None if self.ring is None
+                else self.ledger.live_trace(self.trace_mode, self.ring)
+            ),
+        )
+
+
 def multiproc_er(
     problem: SearchProblem,
     n_workers: int,
@@ -789,8 +1149,8 @@ def multiproc_er(
             worker process, installed by the pool initializer), or
             ``shared`` (one :class:`~repro.cache.sharedmem.SharedMemoryTT`
             segment every worker maps; the coordinator also probes it
-            before submitting an eval task, skipping the task on a
-            usable hit).
+            before expanding each primary node, finishing the node
+            without a task on a usable hit).
         tt_capacity: slot/entry budget for the table(s).
         eval_cache_mode: ``off``, ``private`` (one single-stripe cache
             per worker process), or ``shared`` (one
@@ -836,7 +1196,6 @@ def multiproc_er(
         raise SearchError(
             f"unknown trace mode {trace!r}; expected one of {_live.TRACE_MODES}"
         )
-    traced = trace != _live.TRACE_OFF
     if pool is not None and n_workers != pool.n_workers:
         raise SearchError(
             f"{n_workers} worker(s) requested on a pool of {pool.n_workers}: "
@@ -849,14 +1208,6 @@ def multiproc_er(
             "pool initializer and cannot change per search"
         )
 
-    ctx = _Context(
-        problem, cost_model, config, trace=False, n_processors=n_workers,
-        batch_eval=batch_eval,
-    )
-    coord_stats = SearchStats()
-    merged_workers = SearchStats()
-
-    tail_counters: dict[str, int] = {}
     # A caller's pool stays up, segments and cumulative counters alive,
     # for the next search; without one, this search owns a short-lived
     # pool and closes it in the finally below.
@@ -871,308 +1222,17 @@ def multiproc_er(
             batch_eval=batch_eval,
             trace_mode=trace,
         )
-    executor_pool = pool.executor
-    shared_tt = pool.shared_tt
-    shared_eval = pool.shared_eval
-
-    pending: dict[Future[TaskOutcome], _Pending] = {}
-    counters = {
-        "tasks_submitted": 0,
-        "tasks_applied": 0,
-        "tasks_discarded": 0,
-        "tasks_orphaned": 0,
-        "tt_coord_hits": 0,
-    }
-    busy_applied = 0.0
-    busy_wasted = 0.0
-    per_worker: dict[int, dict[str, float]] = {}
-    #: OS pid -> stable worker index, assigned in first-result order.
-    pid_index: dict[int, int] = {}
-    #: Per-worker-index trace state (all empty when untraced).
-    worker_spans: dict[int, list[_live.SpanRec]] = {}
-    worker_dropped: dict[int, int] = {}
-    worker_self_cost: dict[int, float] = {}
-    estimators: dict[int, _live.OffsetEstimator] = {}
-    # The coordinator's own ring captures its shared-table probes and
-    # heap waits; installed for the run, restored in the finally.
-    prev_ring = _live.RING
-    coord_ring = _live.ring_for_mode(trace)
-    _live.RING = coord_ring
-    start = time.perf_counter()
-    idle = _IdleMeter(n_workers, start)
-
-    def worker_index(pid: int) -> int:
-        return pid_index.setdefault(pid, len(pid_index))
-
-    def merge_blob(index: int, blob: Optional[_TraceBlob]) -> None:
-        if blob is None:
-            return
-        spans, dropped, self_cost = blob
-        worker_spans.setdefault(index, []).extend(spans)
-        # Counters are cumulative per worker; shipments can arrive out of
-        # order across workers, so keep the largest seen.
-        worker_dropped[index] = max(worker_dropped.get(index, 0), dropped)
-        worker_self_cost[index] = max(worker_self_cost.get(index, 0.0), self_cost)
-
-    def node_path(node: PNode) -> str:
-        return "/".join(map(str, node.path)) or "root"
-
-    def publish(pushes: list[tuple[str, PNode]]) -> None:
-        for queue_name, pushed in pushes:
-            if queue_name == "primary":
-                ctx.primary.push(pushed)
-            else:
-                ctx.speculative.push(pushed)
-
-    def finish(node: PNode) -> None:
-        node.done = True
-        pushes: list[tuple[str, PNode]] = []
-        ctx.combine(node, pushes)
-        publish(pushes)
-
-    def coord_probe(node: PNode, alpha: float, beta: float) -> Optional[float]:
-        """Answer a subtree from the shared table without spending a task.
-
-        Same gate as the simulator's parallel-level probe: enough proven
-        depth, and a bound that answers the dispatch window.
-        """
-        if shared_tt is None:
-            return None
-        coord_stats.on_tt_probe(cost_model)
-        entry = shared_tt.probe(hash_key(problem.game, node.position))
-        if entry is None or entry.depth < problem.depth - node.ply:
-            return None
-        usable = (
-            entry.bound is Bound.EXACT
-            or (entry.bound is Bound.LOWER and entry.value >= beta)
-            or (entry.bound is Bound.UPPER and entry.value <= alpha)
-        )
-        return entry.value if usable else None
-
-    def submit(node: PNode, alpha: float, beta: float) -> None:
-        ctx._bump("serial_searches")
-        payload: tuple[Any, ...]
-        if node.next_child > 0:
-            # Remaining-children refutation, as _serial_refute_remaining.
-            value = max(node.value, alpha)
-            if value >= beta:
-                if value > node.value:
-                    node.value = value
-                finish(node)
-                return
-            assert node.child_positions is not None
-            positions = list(node.child_positions[node.next_child :])
-            if not positions:
-                if value > node.value:
-                    node.value = value
-                finish(node)
-                return
-            payload = (
-                "refute",
-                problem.game,
-                positions,
-                problem.depth - node.ply - 1,
-                max(0, problem.sort_below_root - node.ply - 1),
-                value,
-                beta,
-            )
-        else:
-            hit = coord_probe(node, alpha, beta)
-            if hit is not None:
-                counters["tt_coord_hits"] += 1
-                if hit > node.value:
-                    node.value = hit
-                finish(node)
-                return
-            payload = ("eval", subproblem(problem, node.position, node.ply), alpha, beta)
-        future = executor_pool.submit(_run_task, payload)
-        counters["tasks_submitted"] += 1
-        pending[future] = _Pending(node, payload[0], time.perf_counter())
-        idle.record(time.perf_counter(), +1)
-        if _obs.CURRENT is not None:
-            _obs.CURRENT.emit(
-                _obs.EV_TASK_SUBMIT, task=-1, path=node_path(node), kind=str(payload[0])
-            )
-
-    def process_primary(node: PNode) -> None:
-        """Table 1 node generation, mirroring the simulator's worker."""
-        if node.done or ctx.has_finished_ancestor(node):
-            ctx._bump("stale_discards")
-            return
-        if ctx.is_cut_off(node):
-            _, beta = ctx.window(node)
-            if beta > node.value:
-                node.value = beta
-            ctx._bump("cutoff_discards")
-            finish(node)
-            return
-        alpha, beta = ctx.window(node)
-        ctx.expand_positions(node, coord_stats)
-        if node.is_leaf:
-            cached: Optional[float] = None
-            if shared_eval is not None:
-                cached = shared_eval.probe(hash_key(problem.game, node.position))
-                coord_stats.on_eval_probe(cost_model, hit=cached is not None)
-            if cached is not None:
-                coord_stats.note_leaf(node.path)
-                node.value = cached
-            else:
-                coord_stats.on_leaf(node.path, cost_model)
-                node.value = problem.game.evaluate(node.position)
-                if shared_eval is not None:
-                    coord_stats.on_eval_store(cost_model)
-                    shared_eval.store(hash_key(problem.game, node.position), node.value)
-            if shared_tt is not None:
-                coord_stats.on_tt_store(cost_model)
-                shared_tt.store(
-                    hash_key(problem.game, node.position),
-                    TTEntry(node.value, problem.depth - node.ply, Bound.EXACT, None),
-                )
-            finish(node)
-            return
-        if node.ntype in (E_NODE, R_NODE) and node.ply >= config.serial_depth:
-            submit(node, alpha, beta)
-            return
-        pushes: list[tuple[str, PNode]] = []
-        if node.ntype == E_NODE:
-            assert node.children is not None
-            for index in range(node.n_children):
-                if node.children[index] is None:
-                    pushes.append(("primary", ctx.make_child(node, index, UNDECIDED)))
-            node.next_child = node.n_children
-        elif node.ntype == UNDECIDED:
-            if node.next_child == 0:
-                pushes.append(("primary", ctx.make_child(node, 0, E_NODE)))
-                node.next_child = 1
-        else:  # R_NODE above serial depth
-            if node.next_child < node.n_children:
-                ntype = E_NODE if node.next_child == 0 else R_NODE
-                pushes.append(("primary", ctx.make_child(node, node.next_child, ntype)))
-                node.next_child += 1
-        publish(pushes)
-
-    def process_speculative(node: PNode) -> None:
-        pushes: list[tuple[str, PNode]] = []
-        node.on_spec = False
-        if (
-            not node.done
-            and not ctx.has_finished_ancestor(node)
-            and not ctx.is_cut_off(node)
-            and ctx._active_e_children(node) < config.max_e_children
-        ):
-            if ctx.select_e_child(node, pushes, mandatory=False):
-                ctx.maybe_push_spec(node, pushes)
-        else:
-            ctx._bump("stale_discards")
-        publish(pushes)
-
-    def apply_result(record: _Pending, outcome: TaskOutcome) -> None:
-        nonlocal busy_applied, busy_wasted
-        _, value, packed, t_start, t_end, worker_pid, children_done, blob = outcome
-        received_at = time.perf_counter()
-        idle.record(received_at, -1)
-        duration = max(0.0, t_end - t_start)
-        merged_workers.merge(_unpack_stats(packed))
-        node = record.node
-        index = worker_index(worker_pid)
-        if traced:
-            merge_blob(index, blob)
-            estimators.setdefault(index, _live.OffsetEstimator()).observe(
-                record.submitted_at, t_start, t_end, received_at
-            )
-        split = per_worker.setdefault(
-            index, {"pid": float(worker_pid), "applied": 0.0, "wasted": 0.0}
-        )
-        moot = node.done or ctx.has_finished_ancestor(node)
-        if _obs.CURRENT is not None:
-            _obs.CURRENT.emit(
-                _obs.EV_TASK_RESULT,
-                task=-1,
-                path=node_path(node),
-                applied=not moot,
-                duration=duration,
-                worker=index,
-            )
-        if moot:
-            busy_wasted += duration
-            split["wasted"] += duration
-            counters["tasks_discarded"] += 1
-            ctx._bump("stale_discards")
-            return
-        busy_applied += duration
-        split["applied"] += duration
-        counters["tasks_applied"] += 1
-        if record.kind == "refute":
-            node.next_child += children_done
-        if value > node.value:
-            node.value = value
-        finish(node)
-
-    def drain(block: bool) -> None:
-        if not pending:
-            return
-        if block:
-            # The coordinator is starved of heap work here — record the
-            # wait as a span so the merged timeline shows *why* workers
-            # were the bottleneck at that instant.
-            token = coord_ring.begin() if coord_ring is not None else -1.0
-            done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-            if coord_ring is not None:
-                coord_ring.end("heap", "wait", token)
-            if not done:
-                raise SimulationError(
-                    f"multiproc ER wedged: no task completed in {timeout:.0f}s"
-                )
-        else:
-            done = {future for future in pending if future.done()}
-        for future in done:
-            record = pending.pop(future)
-            error = future.exception()
-            if error is not None:
-                raise SimulationError(f"worker process failed: {error!r}") from error
-            apply_result(record, future.result())
-
-    max_in_flight = IN_FLIGHT_PER_WORKER * n_workers
+    tail_counters: dict[str, int] = {}
     try:
-        while not ctx.done:
-            drain(block=False)
-            if ctx.done:
-                break
-            if len(pending) >= max_in_flight:
-                drain(block=True)
-                continue
-            node, from_spec = ctx.pop_work()
-            if node is None:
-                if not pending:
-                    raise SimulationError(
-                        "multiproc ER deadlocked: empty heap with no tasks in flight"
-                    )
-                drain(block=True)
-                continue
-            if from_spec:
-                process_speculative(node)
-            else:
-                process_primary(node)
-        wall = time.perf_counter() - start
-        idle.record(time.perf_counter(), 0)
-        counters["tasks_orphaned"] = len(pending)
-        for future in pending:
-            future.cancel()
-        if traced and own_pool:
-            # Drain-on-exit flush: spans recorded after each worker's
-            # last shipped result (orphaned tasks, trailing cache
-            # probes) would otherwise be lost.  Over-submit so every
-            # pool process likely runs at least one; duplicates drain
-            # empty.  Best effort — a dead worker just keeps its tail.
-            flushes = [executor_pool.submit(_flush_trace) for _ in range(2 * n_workers)]
-            for flush_future in flushes:
-                try:
-                    flush_pid, flush_blob = flush_future.result(timeout=timeout)
-                except Exception:  # noqa: BLE001 - flush is best-effort
-                    continue
-                merge_blob(worker_index(flush_pid), flush_blob)
+        coordinator = Coordinator(
+            problem, n_workers, pool.executor, config=config, cost_model=cost_model,
+            timeout=timeout, batch_eval=batch_eval, shared_tt=pool.shared_tt,
+            shared_eval=pool.shared_eval, trace=trace,
+        )
+        coordinator.run()
+        if own_pool:
+            coordinator.flush()
     finally:
-        _live.RING = prev_ring
         if own_pool:
             # Keep only the segments' cumulative counters: the pool's own
             # task counters never saw this search, whose coordinator
@@ -1181,52 +1241,7 @@ def multiproc_er(
                 key: value for key, value in pool.close().items()
                 if key not in pool.counters
             }
-
-    if not ctx.done:
-        raise SimulationError("multiproc ER finished without combining the root")
-
-    merged = SearchStats()
-    merged.merge(coord_stats)
-    merged.merge(merged_workers)
-    extras: dict[str, Any] = dict(ctx.counters)
-    extras.update(counters)
-    # Coordinator-side table/cache counters only; worker probe/store
-    # totals are process-local and arrive through the merged stats
-    # instead.  (Empty for persistent pools, whose cumulative segment
-    # counters belong to the pool, not to any one search.)
-    extras.update(tail_counters)
-    live_trace: Optional[_live.LiveTrace] = None
-    if traced and coord_ring is not None:
-        spans_by_worker: dict[int, list[_live.SpanRec]] = dict(worker_spans)
-        spans_by_worker[_live.COORDINATOR] = coord_ring.drain()
-        coord_dropped, coord_cost = coord_ring.snapshot_counters()
-        offsets = {index: est.offset for index, est in estimators.items()}
-        pids = {index: pid for pid, index in pid_index.items()}
-        pids[_live.COORDINATOR] = os.getpid()
-        live_trace = _live.LiveTrace(
-            mode=trace,
-            spans=_live.merge_spans(spans_by_worker, offsets),
-            pids=pids,
-            dropped={**worker_dropped, _live.COORDINATOR: coord_dropped},
-            offsets=offsets,
-            self_cost_seconds=sum(worker_self_cost.values()) + coord_cost,
-        )
-    busy = busy_applied + busy_wasted
-    starvation = min(idle.starved_seconds, max(0.0, n_workers * wall - busy))
-    interference = max(0.0, n_workers * wall - busy - starvation)
-    return MultiprocResult(
-        value=ctx.root.value,
-        n_workers=n_workers,
-        wall_time=wall,
-        stats=merged,
-        extras=extras,
-        busy_applied_seconds=busy_applied,
-        busy_wasted_seconds=busy_wasted,
-        starvation_seconds=starvation,
-        interference_seconds=interference,
-        per_worker=per_worker,
-        trace=live_trace,
-    )
+    return coordinator.result(tail_counters)
 
 
 # ---------------------------------------------------------------------------

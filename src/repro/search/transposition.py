@@ -50,6 +50,28 @@ class TTEntry:
     best_move: Optional[int]  # child index that produced the value
 
 
+def usable_value(
+    entry: Optional[TTEntry], remaining: int, alpha: float, beta: float
+) -> Optional[float]:
+    """The value ``entry`` answers a search with, or ``None`` if it cannot.
+
+    An entry answers a node with ``remaining`` plies to go when it was
+    searched at least that deep and its bound decides the window
+    ``(alpha, beta)``: EXACT always, LOWER when it fails high (``>=
+    beta``), UPPER when it fails low (``<= alpha``).  Every backend's
+    table probe gates on this one rule.
+    """
+    if entry is None or entry.depth < remaining:
+        return None
+    if (
+        entry.bound is Bound.EXACT
+        or (entry.bound is Bound.LOWER and entry.value >= beta)
+        or (entry.bound is Bound.UPPER and entry.value <= alpha)
+    ):
+        return entry.value
+    return None
+
+
 #: How many least-recently-used entries the capacity-eviction scan
 #: examines.  Bounds the cost of depth-preferred replacement: eviction
 #: picks the *shallowest* entry in this window rather than blindly
@@ -164,13 +186,9 @@ def _ab_tt(
     remaining = problem.depth - ply
 
     entry = table.probe(position)
-    if entry is not None and entry.depth >= remaining:
-        if entry.bound is Bound.EXACT:
-            return entry.value
-        if entry.bound is Bound.LOWER and entry.value >= beta:
-            return entry.value
-        if entry.bound is Bound.UPPER and entry.value <= alpha:
-            return entry.value
+    answer = usable_value(entry, remaining, alpha, beta)
+    if answer is not None:
+        return answer
 
     children = () if problem.is_horizon(ply) else game.children(position)
     if not children:

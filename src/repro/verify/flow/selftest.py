@@ -320,13 +320,27 @@ MUTATIONS: tuple[Mutation, ...] = (
                 "    yield Compute(cm.bookkeeping, tag=\"bookkeeping\","
                 " node=_cp_path(node), cls=node.ntype)\n"
                 "    pushes: list[tuple[str, PNode]] = []\n"
-                "    ctx._note(node, _trace.WRITE)\n"
-                "    node.on_spec = False\n",
+                "    ctx.speculative_step(node, pushes)\n",
                 "    yield Compute(cm.bookkeeping, tag=\"bookkeeping\","
                 " node=_cp_path(node), cls=node.ntype)\n"
                 "    pushes: list[tuple[str, PNode]] = []\n"
-                "    ctx._note(node, _trace.WRITE)\n"
-                "    node.on_spec = False\n",
+                "    ctx.speculative_step(node, pushes)\n",
+            ),
+        ),
+    ),
+    Mutation(
+        name="real:drop-tree-acquire-around-primary-step",
+        expected_rule="VER101",
+        target="src/repro/core/er_parallel.py",
+        replacements=(
+            (
+                "    yield Acquire(ctx.tree_lock)\n"
+                "    yield Compute(cm.bookkeeping, tag=\"bookkeeping\","
+                " node=_cp_path(node), cls=node.ntype)\n"
+                "    ctx.expand_children(node, pushes)\n",
+                "    yield Compute(cm.bookkeeping, tag=\"bookkeeping\","
+                " node=_cp_path(node), cls=node.ntype)\n"
+                "    ctx.expand_children(node, pushes)\n",
             ),
         ),
     ),

@@ -27,7 +27,8 @@ Seven rules, each an invariant the rest of the codebase argues from:
   an executor in ``parallel/multiproc.py`` must be a module-level
   function referenced by name, never a closure, lambda, or bound
   method — the spawn start method would fail at runtime, and only on
-  platforms that spawn.
+  platforms that spawn.  A call on ``self`` is a class's own method,
+  not a submission.
 * **VER005 — telemetry coverage.**  Every ``Op`` subclass in
   ``sim/ops.py`` must have an entry in ``repro.obs.registry.OP_METRICS``
   and every ``EV_*`` event type in ``repro.obs.events`` an entry in
@@ -101,23 +102,23 @@ TREE_METHODS = frozenset(
         "has_finished_ancestor",
         "_best_candidate",
         "_active_e_children",
+        "screen",
+        "expand_children",
+        "speculative_step",
+        "refute_plan",
+        "finish",
+        "_mark_refuted_if_cut",
     }
 )
 
-#: Module-level helpers that touch shared tree state.
-TREE_FUNCTIONS = frozenset({"_mark_refuted_if_cut"})
-
 #: ``ctx`` methods that operate on the problem heap queues.
-HEAP_METHODS = frozenset({"pop_work"})
+HEAP_METHODS = frozenset({"pop_work", "publish"})
 
 #: Substrings identifying a queue object whose push/pop needs a heap lock.
 _QUEUE_HINTS = ("primary", "speculative", "local_queues", "queues")
 
 #: Documented exemptions from the lock contracts (see module docstring).
 EXEMPT_METHODS = frozenset({"expand_positions", "_note", "notify_all"})
-
-#: Constructors of simulator ops — not subject to call contracts.
-_OP_CONSTRUCTORS = frozenset({"Acquire", "Release", "Compute", "WaitWork"})
 
 
 @dataclass(frozen=True)
@@ -314,16 +315,6 @@ class _WorkerAnalyzer:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in _OP_CONSTRUCTORS:
-                    continue
-                if func.id in TREE_FUNCTIONS and not _holds(held, "tree"):
-                    self._report(
-                        node.lineno,
-                        f"{func.id}() called without the tree lock "
-                        f"(held: {sorted(held)})",
-                    )
-                continue
             if not isinstance(func, ast.Attribute):
                 continue
             attr = func.attr
@@ -973,6 +964,8 @@ def check_pickle_boundary(path: str, source: str) -> list[LintFinding]:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("submit", "apply_async", "map")
             and node.args
+            # ``self.submit(...)`` is the class's own method, not an executor.
+            and ast.unparse(node.func.value) != "self"
         ):
             continue
         task = node.args[0]

@@ -1,18 +1,23 @@
 """Tests for the multiprocess ER backend (correctness and accounting)."""
 
+from concurrent.futures import Future
+
 import pytest
 
-from repro.core.er_parallel import ERConfig
+from repro.core.er_parallel import E_NODE, R_NODE, ERConfig
 from repro.core.serial_er import er_search
 from repro.engine import EngineConfig, GameEngine
-from repro.errors import SearchError
-from repro.games.base import SearchProblem
+from repro.errors import SearchError, SimulationError
+from repro.games.base import NEG_INF, SearchProblem
 from repro.games.connect4 import ConnectFour
 from repro.games.explicit import FIGURE6, FIGURE7, ExplicitTree
 from repro.games.othello.game import O1_ROOT, Othello
 from repro.games.tictactoe import TicTacToe
+from repro.obs import events as obs_events
+from repro.parallel import multiproc
 from repro.parallel.multiproc import (
     IN_FLIGHT_PER_WORKER,
+    Coordinator,
     MultiprocResult,
     default_serial_depth,
     format_scaling_table,
@@ -60,6 +65,125 @@ class _InFlightRecorder:
             return result(timeout)
 
         return wrapped
+
+
+class _InlineExecutor:
+    """Executor stand-in: runs each task in this process at submit time
+    and returns an already completed future."""
+
+    def __init__(self):
+        self.outcomes = []
+
+    def submit(self, fn, *args):
+        outcome = fn(*args)
+        self.outcomes.append(outcome)
+        future = Future()
+        future.set_result(outcome)
+        return future
+
+
+class _HeldExecutor:
+    """Executor stand-in whose tasks run only when the coordinator blocks:
+    its :meth:`wait` replaces ``concurrent.futures.wait`` and completes
+    the oldest held task."""
+
+    def __init__(self):
+        self.held = []
+        self.peak = 0
+
+    def submit(self, fn, *args):
+        future = Future()
+        self.held.append((future, fn, args))
+        self.peak = max(self.peak, len(self.held))
+        return future
+
+    def wait(self, futures, timeout=None, return_when=None):
+        future, fn, args = self.held.pop(0)
+        future.set_result(fn(*args))
+        return {future}, set(futures) - {future}
+
+
+def _coordinator(executor, serial_depth=1, n_workers=1, seed=1):
+    problem = random_problem(3, 4, seed)
+    coordinator = Coordinator(
+        problem, n_workers, executor, config=ERConfig(serial_depth=serial_depth)
+    )
+    return problem, coordinator
+
+
+def _root_child(coordinator, index, ntype):
+    """Pop and expand the root by hand, then create one child of it."""
+    ctx = coordinator.ctx
+    root, _ = ctx.pop_work()
+    ctx.expand_positions(root, coordinator.stats)
+    return root, ctx.make_child(root, index, ntype)
+
+
+class TestCoordinator:
+    def test_moot_result_is_wasted_and_not_applied(self):
+        executor = _InlineExecutor()
+        _, coordinator = _coordinator(executor)
+        ctx = coordinator.ctx
+        root, child = _root_child(coordinator, 0, E_NODE)
+        coordinator.submit(child, ctx.window(child))
+        # A cutoff elsewhere finishes the root while the task runs.
+        root.done = True
+        stale = ctx.counters["stale_discards"]
+        coordinator.drain(block=False)
+        assert coordinator.counters["tasks_discarded"] == 1
+        assert coordinator.counters["tasks_applied"] == 0
+        assert ctx.counters["stale_discards"] == stale + 1
+        assert not child.done and child.value == NEG_INF
+        (outcome,) = executor.outcomes
+        busy = outcome[4] - outcome[3]
+        assert coordinator.ledger.per_worker[0]["wasted"] == busy
+        assert coordinator.ledger.per_worker[0]["applied"] == 0.0
+        assert coordinator.result().busy_wasted_seconds == busy
+
+    def test_refuted_r_node_finishes_without_a_task(self):
+        executor = _InlineExecutor()
+        _, coordinator = _coordinator(executor)
+        ctx = coordinator.ctx
+        root, child = _root_child(coordinator, 1, R_NODE)
+        ctx.expand_positions(child, coordinator.stats)
+        child.next_child = 1  # its first child is already evaluated
+        root.value = 5.0  # the root holds 5, so the child's beta is -5,
+        child.value = 10.0  # which the child's tentative value refutes
+        coordinator.submit(child, ctx.window(child))
+        assert executor.outcomes == [] and not coordinator.pending
+        assert coordinator.counters["tasks_submitted"] == 0
+        assert child.done and child.value == 10.0
+
+    def test_in_flight_never_exceeds_bound(self, monkeypatch):
+        executor = _HeldExecutor()
+        monkeypatch.setattr(multiproc, "wait", executor.wait)
+        problem, coordinator = _coordinator(executor, serial_depth=2, n_workers=2)
+        coordinator.run()
+        assert coordinator.result().value == negamax(problem).value
+        # Without the bound the coordinator would drain the heap first.
+        assert executor.peak == IN_FLIGHT_PER_WORKER * 2
+
+    def test_empty_heap_with_nothing_in_flight_deadlocks(self):
+        _, coordinator = _coordinator(_InlineExecutor())
+        coordinator.ctx.pop_work()  # the root: the heap is now empty
+        with pytest.raises(SimulationError, match="deadlocked"):
+            coordinator.run()
+
+    def test_every_applied_task_result_has_node_done(self, pool):
+        problem = random_problem(3, 4, seed=5)
+        with obs_events.observing() as bus:
+            multiproc_er(problem, 2, config=ERConfig(serial_depth=2), pool=pool)
+        applied = {
+            event.data["path"]
+            for event in bus.events
+            if event.etype == obs_events.EV_TASK_RESULT and event.data["applied"]
+        }
+        done = {
+            event.data["path"]
+            for event in bus.events
+            if event.etype == obs_events.EV_NODE_DONE
+        }
+        assert applied and applied <= done
 
 
 class TestCorrectness:

@@ -190,6 +190,21 @@ def test_ver004_module_function_submission_allowed() -> None:
     assert check_file("parallel/multiproc_fake.py", source=source, rules={"VER004"}) == []
 
 
+def test_ver004_own_method_call_is_not_a_submission() -> None:
+    source = _src(
+        """
+        class Coordinator:
+            def submit(self, node):
+                return self.executor.submit(lambda: node)
+
+            def step(self, node):
+                self.submit(node)
+        """
+    )
+    findings = check_file("parallel/multiproc_fake.py", source=source, rules={"VER004"})
+    assert [(f.rule, f.line) for f in findings] == [("VER004", 3)]
+
+
 # ---------------------------------------------------------------------------
 # VER005: metrics registry covers every op kind and event type.
 # ---------------------------------------------------------------------------
