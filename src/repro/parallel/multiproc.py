@@ -34,18 +34,28 @@ Every search runs on an :class:`EnginePool`, the one owner of worker
 processes and shared cache segments: a pool the caller keeps warm
 across searches, or a short-lived one the search builds and closes.
 
-The heap, not the executor, picks every task.  The coordinator keeps at
+The pool's workers are a :class:`~repro.parallel.channel.TaskChannel`,
+which starts no thread in the coordinator process: the workers are up,
+and through :func:`_init_worker`, before the pool's constructor
+returns; the next free worker takes the next task from one shared task
+pipe; and the coordinator reads results in its own thread, through
+:meth:`~repro.parallel.channel.TaskChannel.wait`.  A dead worker fails
+every outstanding task at once.
+
+The heap, not the channel, picks every task.  The coordinator keeps at
 most :data:`IN_FLIGHT_PER_WORKER` tasks in flight per worker (one
 running, one queued); at that bound it waits for a result instead of
 popping more work.  The paper's processors take a node from the heap
 only when they are free, so the primary queue's depth-first order and
 the speculative queue's ranking decide what runs next.  Flooding the
-executor instead would hand that choice to its unbounded FIFO queue:
-the coordinator would drain both queues long before any result
-returned, tasks would wait a whole search's worth in line, and tasks a
-cutoff had made moot would still run.  The second slot per worker hides
-the submit-to-result round trip, which would otherwise idle each worker
-once per task.
+workers instead would hand that choice to a FIFO queue: the
+coordinator would drain both queues long before any result returned,
+tasks would wait a whole search's worth in line, and tasks a cutoff had
+made moot would still run.  The second slot per worker hides the
+submit-to-result round trip, which would otherwise idle each worker
+once per task.  The channel keeps the same bound for any caller: tasks
+beyond it wait in an in-process backlog, so the pipe never holds more
+than the workers are about to run.
 
 Semantics match the simulator's documented deviations: subtree searches
 run against the window captured at dispatch, results of subtrees
@@ -63,7 +73,7 @@ run's ``n_workers * wall_time`` processor-seconds,
 * **starvation loss** is worker time during which fewer tasks were in
   flight than workers (the heap had nothing at serial depth to hand
   out), integrated from the coordinator's submit/receive event log;
-* **interference loss** is the remainder: pickling, queue IPC, and
+* **interference loss** is the remainder: pickling, pipe IPC, and
   coordinator occupancy — the multiprocess analogue of the paper's
   lock contention.
 """
@@ -74,7 +84,7 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
@@ -100,6 +110,7 @@ from ..obs import events as _obs
 from ..obs import live as _live
 from ..search.stats import SearchStats
 from ..search.transposition import Bound, TranspositionTable, TTEntry, usable_value
+from .channel import IN_FLIGHT_PER_WORKER, TaskChannel
 
 __all__ = [
     "IN_FLIGHT_PER_WORKER",
@@ -114,12 +125,6 @@ __all__ = [
     "format_scaling_table",
     "preferred_start_method",
 ]
-
-
-#: Tasks the coordinator keeps in flight per worker: one running and one
-#: queued, so a worker never waits a round trip for its next task while
-#: the heap still chooses each task as late as possible.
-IN_FLIGHT_PER_WORKER = 2
 
 
 def preferred_start_method() -> str:
@@ -480,7 +485,9 @@ class EnginePool:
             searches.
         trace_mode: span-ring mode installed in every worker.
 
-    Workers start with :func:`preferred_start_method`; their stripe
+    The workers are a :class:`~repro.parallel.channel.TaskChannel`,
+    started with :func:`preferred_start_method` before the constructor
+    returns, each already through :func:`_init_worker`; their stripe
     locks come from that same context, so they survive the trip through
     :func:`_init_worker` under any start method.
 
@@ -489,7 +496,7 @@ class EnginePool:
     (same index convention as :class:`MultiprocResult.per_worker`), merged
     :class:`~repro.search.stats.SearchStats` over every result passed to
     :meth:`note_outcome`, and task/short-circuit counters.  :meth:`close`
-    is idempotent and tears down the executor and both shared segments;
+    is idempotent and tears down the task channel and both shared segments;
     the soak battery asserts nothing leaks past it.
     """
 
@@ -540,12 +547,14 @@ class EnginePool:
             )
         elif eval_cache_mode == "private":
             eval_spec = ("private", eval_cache_capacity, batch_eval)
-        self._executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=mp_ctx,
-            initializer=_init_worker,
-            initargs=(tt_spec, eval_spec, trace_mode),
-        )
+        try:
+            self._executor: Optional[TaskChannel] = TaskChannel(
+                n_workers, mp_ctx, initializer=_init_worker,
+                initargs=(tt_spec, eval_spec, trace_mode),
+            )
+        except BaseException:
+            self._destroy_segments()
+            raise
         self.stats = SearchStats()
         #: Fed by :meth:`note_outcome`; the service has no moot results,
         #: so there is no "wasted" split.
@@ -559,7 +568,7 @@ class EnginePool:
         self._final_counters: dict[str, int] = {}
 
     @property
-    def executor(self) -> ProcessPoolExecutor:
+    def executor(self) -> TaskChannel:
         if self._executor is None:
             raise ServeError("engine pool is closed")
         return self._executor
@@ -689,23 +698,29 @@ class EnginePool:
             return dict(self._final_counters)
         self._closed = True
         if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor.close()
             self._executor = None
         # Every worker has exited, so the segments can go: the pool both
         # closes its mappings and destroys them.
         final = dict(self.counters)
+        final.update(self._destroy_segments())
+        self._final_counters = final
+        return dict(final)
+
+    def _destroy_segments(self) -> dict[str, int]:
+        """Close and unlink both shared segments; returns their counters."""
+        counters: dict[str, int] = {}
         if self._shared_tt is not None:
-            final.update(self._shared_tt.counter_snapshot())
+            counters.update(self._shared_tt.counter_snapshot())
             self._shared_tt.close()
             self._shared_tt.unlink()
             self._shared_tt = None
         if self._shared_eval is not None:
-            final.update(self._shared_eval.counter_snapshot())
+            counters.update(self._shared_eval.counter_snapshot())
             self._shared_eval.close()
             self._shared_eval.unlink()
             self._shared_eval = None
-        self._final_counters = final
-        return dict(final)
+        return counters
 
     def __enter__(self) -> "EnginePool":
         return self
@@ -804,16 +819,17 @@ class Coordinator:
     (:meth:`apply_result`, via :meth:`drain`).
 
     Arguments are as in :func:`multiproc_er`, except that ``executor``
-    (anything with ``submit(fn, *args) -> Future``) and the shared
-    segments ``shared_tt``/``shared_eval`` stand in for the pool, and
-    ``config.distributed_heap`` must be off.
+    (a :class:`~repro.parallel.channel.TaskChannel`, or anything with
+    its ``submit(fn, *args) -> Future`` and ``wait(futures, timeout)``)
+    and the shared segments ``shared_tt``/``shared_eval`` stand in for
+    the pool, and ``config.distributed_heap`` must be off.
     """
 
     def __init__(
         self,
         problem: SearchProblem,
         n_workers: int,
-        executor: Executor,
+        executor: TaskChannel,
         *,
         config: ERConfig,
         cost_model: CostModel = DEFAULT_COST_MODEL,
@@ -1005,7 +1021,7 @@ class Coordinator:
             # were the bottleneck at that instant.
             ring = self.ring
             token = ring.begin() if ring is not None else -1.0
-            done, _ = wait(self.pending, timeout=self.timeout, return_when=FIRST_COMPLETED)
+            done = self.executor.wait(self.pending, self.timeout)
             if ring is not None:
                 ring.end("heap", "wait", token)
             if not done:
@@ -1013,7 +1029,7 @@ class Coordinator:
                     f"multiproc ER wedged: no task completed in {self.timeout:.0f}s"
                 )
         else:
-            done = {future for future in self.pending if future.done()}
+            done = self.executor.wait(self.pending, 0.0)
         for future in done:
             self._tick()
             node, submitted_at = self.pending.pop(future)
@@ -1074,13 +1090,18 @@ class Coordinator:
         """
         if self.ring is None:
             return
-        flushes = [self.executor.submit(_flush_trace) for _ in range(2 * self.n_workers)]
-        for future in flushes:
-            try:
-                pid, blob = future.result(timeout=self.timeout)
-            except Exception:  # noqa: BLE001 - flush is best-effort
-                continue
-            self.ledger.merge_blob(pid, blob)
+        flushes = {self.executor.submit(_flush_trace) for _ in range(2 * self.n_workers)}
+        while flushes:
+            done = self.executor.wait(flushes, self.timeout)
+            if not done:
+                return
+            flushes.difference_update(done)
+            for future in done:
+                try:
+                    pid, blob = future.result()
+                except Exception:  # noqa: BLE001 - flush is best-effort
+                    continue
+                self.ledger.merge_blob(pid, blob)
 
     def result(self, pool_counters: Optional[dict[str, int]] = None) -> MultiprocResult:
         """The finished run's value, counters and loss accounting.

@@ -229,6 +229,9 @@ class SearchService:
             batch_eval=cfg.batch_eval,
             trace_mode=cfg.trace_mode,
         )
+        # Worker results are read on this loop as they arrive; no thread
+        # in this process relays them.
+        self.pool.executor.attach(asyncio.get_running_loop())
         engine = PoolEngine(self.pool, self._resolve, span_ring=self.ring)
         # One clock end to end: the scheduler stamps with the same
         # wall_clock as handle()'s arrival stamp, which is what makes
@@ -306,6 +309,7 @@ class SearchService:
             except asyncio.CancelledError:
                 pass
         if self.pool is not None:
+            # Closing the pool first takes its result pipe off this loop.
             self.final_counters = self.pool.close()
         if self._metrics_server is not None:
             self._metrics_server.stop()

@@ -23,12 +23,14 @@ Seven rules, each an invariant the rest of the codebase argues from:
   ``cache/``: identical
   runs must produce identical reports, which the determinism tests and
   the race-detector clean-trace gates both rely on.
-* **VER004 — picklable multiproc boundary.**  Every task submitted to
-  an executor in ``parallel/multiproc.py`` must be a module-level
-  function referenced by name, never a closure, lambda, or bound
-  method — the spawn start method would fail at runtime, and only on
-  platforms that spawn.  A call on ``self`` is a class's own method,
-  not a submission.
+* **VER004 — picklable multiproc boundary.**  In the modules of
+  :data:`PICKLE_BOUNDARY` (``parallel/multiproc.py`` and its task
+  channel ``parallel/channel.py``), every task submitted to an
+  executor, every ``target=`` of a process and every worker
+  ``initializer=`` must be a module-level function referenced by name,
+  never a closure, lambda, or bound method — the spawn start method
+  would fail at runtime, and only on platforms that spawn.  A call on
+  ``self`` is a class's own method, not a submission.
 * **VER005 — telemetry coverage.**  Every ``Op`` subclass in
   ``sim/ops.py`` must have an entry in ``repro.obs.registry.OP_METRICS``
   and every ``EV_*`` event type in ``repro.obs.events`` an entry in
@@ -951,35 +953,49 @@ def check_parallel_event_coverage(
     return findings
 
 
+#: Modules under ``parallel/`` whose calls ship functions to worker processes.
+PICKLE_BOUNDARY = ("multiproc.py", "channel.py")
+
+
 def check_pickle_boundary(path: str, source: str) -> list[LintFinding]:
-    """VER004: executor submissions must be module-level functions."""
+    """VER004: what crosses into a worker process must be a module-level function.
+
+    That is the task of an executor submission, a process ``target=``,
+    and a worker ``initializer=``.
+    """
     findings: list[LintFinding] = []
     tree = ast.parse(source, filename=path)
     module_funcs = {
         node.name for node in tree.body if isinstance(node, ast.FunctionDef)
     }
     for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+        if not isinstance(node, ast.Call):
+            continue
+        shipped: list[tuple[str, ast.expr]] = [
+            (f"{keyword.arg}=", keyword.value)
+            for keyword in node.keywords
+            if keyword.arg in ("target", "initializer")
+        ]
+        if (
+            isinstance(node.func, ast.Attribute)
             and node.func.attr in ("submit", "apply_async", "map")
             and node.args
             # ``self.submit(...)`` is the class's own method, not an executor.
             and ast.unparse(node.func.value) != "self"
         ):
-            continue
-        task = node.args[0]
-        if isinstance(task, ast.Name) and task.id in module_funcs:
-            continue
-        findings.append(
-            LintFinding(
-                "VER004",
-                path,
-                node.lineno,
-                f"task {ast.unparse(task)!r} submitted to an executor is not a "
-                "module-level function; it cannot pickle under spawn",
+            shipped.append(("task", node.args[0]))
+        for role, fn in shipped:
+            if isinstance(fn, ast.Name) and fn.id in module_funcs:
+                continue
+            findings.append(
+                LintFinding(
+                    "VER004",
+                    path,
+                    node.lineno,
+                    f"{role} {ast.unparse(fn)!r} shipped to a worker process is not "
+                    "a module-level function; it cannot pickle under spawn",
+                )
             )
-        )
     return findings
 
 
@@ -1007,7 +1023,7 @@ def check_file(
         rules = {"VER003"}
         if name == "er_parallel.py":
             rules.add("VER001")
-        if "multiproc" in name:
+        if "multiproc" in name or name in PICKLE_BOUNDARY:
             rules.add("VER004")
             rules.discard("VER003")  # the coordinator measures wall time
     findings: list[LintFinding] = []
@@ -1053,9 +1069,10 @@ def check_repo(root: Optional[str] = None) -> list[LintFinding]:
         for path in sorted(directory.glob("*.py")):
             findings.extend(check_file(str(path), rules={"VER008"}))
 
-    multiproc = src / "parallel" / "multiproc.py"
-    if multiproc.exists():
-        findings.extend(check_file(str(multiproc), rules={"VER004"}))
+    for name in PICKLE_BOUNDARY:
+        module = src / "parallel" / name
+        if module.exists():
+            findings.extend(check_file(str(module), rules={"VER004"}))
 
     events_py = src / "obs" / "events.py"
     registry_py = src / "obs" / "registry.py"

@@ -14,7 +14,6 @@ from repro.games.explicit import FIGURE6, FIGURE7, ExplicitTree
 from repro.games.othello.game import O1_ROOT, Othello
 from repro.games.tictactoe import TicTacToe
 from repro.obs import events as obs_events
-from repro.parallel import multiproc
 from repro.parallel.multiproc import (
     IN_FLIGHT_PER_WORKER,
     Coordinator,
@@ -52,6 +51,9 @@ class _InFlightRecorder:
     def executor(self):
         return self
 
+    def wait(self, futures, timeout=None):
+        return self._pool.executor.wait(futures, timeout)
+
     def submit(self, fn, *args):
         future = self._pool.executor.submit(fn, *args)
         self.in_flight += 1
@@ -81,11 +83,14 @@ class _InlineExecutor:
         future.set_result(outcome)
         return future
 
+    def wait(self, futures, timeout=None):
+        return [future for future in futures if future.done()]
+
 
 class _HeldExecutor:
     """Executor stand-in whose tasks run only when the coordinator blocks:
-    its :meth:`wait` replaces ``concurrent.futures.wait`` and completes
-    the oldest held task."""
+    a blocking :meth:`wait` completes the oldest held task, a
+    non-blocking one completes nothing."""
 
     def __init__(self):
         self.held = []
@@ -97,10 +102,12 @@ class _HeldExecutor:
         self.peak = max(self.peak, len(self.held))
         return future
 
-    def wait(self, futures, timeout=None, return_when=None):
+    def wait(self, futures, timeout=None):
+        if timeout == 0:
+            return []
         future, fn, args = self.held.pop(0)
         future.set_result(fn(*args))
-        return {future}, set(futures) - {future}
+        return [future]
 
 
 def _coordinator(executor, serial_depth=1, n_workers=1, seed=1):
@@ -154,9 +161,8 @@ class TestCoordinator:
         assert coordinator.counters["tasks_submitted"] == 0
         assert child.done and child.value == 10.0
 
-    def test_in_flight_never_exceeds_bound(self, monkeypatch):
+    def test_in_flight_never_exceeds_bound(self):
         executor = _HeldExecutor()
-        monkeypatch.setattr(multiproc, "wait", executor.wait)
         problem, coordinator = _coordinator(executor, serial_depth=2, n_workers=2)
         coordinator.run()
         assert coordinator.result().value == negamax(problem).value

@@ -190,6 +190,32 @@ def test_ver004_module_function_submission_allowed() -> None:
     assert check_file("parallel/multiproc_fake.py", source=source, rules={"VER004"}) == []
 
 
+def test_ver004_lambda_process_target_and_initializer_flagged() -> None:
+    source = _src(
+        """
+        def _init():
+            pass
+
+        def _main():
+            pass
+
+        def start(ctx):
+            ctx.Process(target=lambda: None).start()
+            ctx.Process(target=_main).start()
+            return TaskChannel(2, ctx, initializer=lambda: None)
+
+        def start_ok(ctx):
+            return TaskChannel(2, ctx, initializer=_init)
+        """
+    )
+    findings = sorted(
+        check_file("parallel/multiproc_fake.py", source=source, rules={"VER004"}),
+        key=lambda f: f.line,
+    )
+    assert [(f.rule, f.line) for f in findings] == [("VER004", 8), ("VER004", 10)]
+    assert "target=" in findings[0].message and "initializer=" in findings[1].message
+
+
 def test_ver004_own_method_call_is_not_a_submission() -> None:
     source = _src(
         """
