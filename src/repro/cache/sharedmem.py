@@ -1,9 +1,11 @@
-"""Cross-process transposition table over ``multiprocessing.shared_memory``.
+"""Cross-process keyed store over ``multiprocessing.shared_memory``.
 
 The striped tables in :mod:`repro.cache.striped` share Python objects,
 which processes cannot.  This variant packs entries into a fixed-slot
 byte array that every worker process maps, with one
-``multiprocessing.Lock`` per stripe for mutual exclusion.  Layout:
+``multiprocessing.Lock`` per stripe for mutual exclusion.  Like the
+striped store it serves both tables; its :class:`~repro.cache.striped.CacheKind`
+names its counters and its live-ring spans.  Layout:
 
 * ``capacity`` slots of 28 bytes: ``<QdiiB3x`` — key (u64), value (f64),
   depth (i32), best_move (i32, ``-1`` encodes ``None``), bound (u8,
@@ -24,6 +26,7 @@ overwrites the shallowest bucket resident when at least as deep as it —
 otherwise the store is dropped and counted as a collision.  There is no
 LRU component: fixed slots cannot cheaply track recency across
 processes, and depth is the signal that matters for search caches.
+Eval entries all have depth 0, so for them a store always lands.
 
 Lifecycle: the coordinator constructs the table (creating the segment),
 ships ``handle()`` plus the stripe locks to workers through the pool
@@ -44,6 +47,7 @@ from typing import Any, Optional, Sequence
 from ..errors import SearchError
 from ..obs import live as _live
 from ..search.transposition import Bound, TTEntry
+from .striped import TT, CacheKind
 
 #: One packed slot: key, value, depth, best_move, bound, padding.
 _RECORD = struct.Struct("<QdiiB3x")
@@ -68,10 +72,11 @@ class TTHandle:
     shm_name: str
     capacity: int
     n_stripes: int
+    kind: CacheKind
 
 
 class SharedMemoryTT:
-    """Fixed-slot transposition table in a shared-memory segment.
+    """Fixed-slot keyed store in a shared-memory segment.
 
     Args:
         capacity: total slot count (rounded down to a multiple of
@@ -79,6 +84,9 @@ class SharedMemoryTT:
         n_stripes: independent lock domains; also the key partition.
         locks: per-stripe locks — omit to create them (coordinator side),
             pass the inherited ones when attaching (worker side).
+        kind: which table this is (:data:`~repro.cache.striped.TT` or
+            :data:`~repro.cache.striped.EVAL`); the handle carries it to
+            attaching workers.
     """
 
     def __init__(
@@ -87,6 +95,7 @@ class SharedMemoryTT:
         n_stripes: int = 8,
         *,
         locks: Optional[Sequence[Any]] = None,
+        kind: CacheKind = TT,
         _shm: Optional[shared_memory.SharedMemory] = None,
     ):
         if n_stripes < 1:
@@ -94,6 +103,7 @@ class SharedMemoryTT:
         if capacity < n_stripes:
             raise SearchError("need at least one slot per stripe")
         self.n_stripes = n_stripes
+        self.kind = kind
         self.slots_per_stripe = capacity // n_stripes
         self.capacity = self.slots_per_stripe * n_stripes
         if locks is not None and len(locks) != n_stripes:
@@ -118,14 +128,11 @@ class SharedMemoryTT:
         self.evictions = 0
         #: Stores dropped because every bucket resident was deeper.
         self.collisions = 0
-        #: Category this table's probe/store spans carry on the live
-        #: ring ("tt"; the eval-cache adapter relabels its table "eval").
-        self.span_cat = "tt"
 
     # -- lifecycle ---------------------------------------------------------
 
     def handle(self) -> TTHandle:
-        return TTHandle(self._shm.name, self.capacity, self.n_stripes)
+        return TTHandle(self._shm.name, self.capacity, self.n_stripes, self.kind)
 
     @property
     def locks(self) -> Sequence[Any]:
@@ -145,7 +152,7 @@ class SharedMemoryTT:
         and make the final unlink complain.)
         """
         shm = shared_memory.SharedMemory(name=handle.shm_name)
-        return cls(handle.capacity, handle.n_stripes, locks=locks, _shm=shm)
+        return cls(handle.capacity, handle.n_stripes, locks=locks, kind=handle.kind, _shm=shm)
 
     def close(self) -> None:
         self._shm.close()
@@ -196,7 +203,7 @@ class SharedMemoryTT:
         token = ring.begin() if ring is not None else -1.0
         entry = self._probe_impl(key)
         if ring is not None:
-            ring.end(self.span_cat, "probe", token)
+            ring.end(self.kind.name, "probe", token)
         return entry
 
     def _probe_impl(self, key: int) -> Optional[TTEntry]:
@@ -218,7 +225,7 @@ class SharedMemoryTT:
         token = ring.begin() if ring is not None else -1.0
         self._store_impl(key, entry)
         if ring is not None:
-            ring.end(self.span_cat, "store", token)
+            ring.end(self.kind.name, "store", token)
 
     def _store_impl(self, key: int, entry: TTEntry) -> None:
         key = self._norm(key)
@@ -267,10 +274,6 @@ class SharedMemoryTT:
                 self._shm.buf[base : base + span] = bytes(span)
 
     def counter_snapshot(self) -> dict[str, int]:
-        return {
-            "tt_hits": self.hits,
-            "tt_misses": self.misses,
-            "tt_stores": self.stores,
-            "tt_evictions": self.evictions,
-            "tt_collisions": self.collisions,
-        }
+        return self.kind.counters(
+            self.hits, self.misses, self.stores, self.evictions, collisions=self.collisions
+        )

@@ -38,7 +38,7 @@ from .analysis.experiments import (
     serial_baselines,
 )
 from .analysis.losses import loss_report
-from .cache import make_tt
+from .cache import CACHE_MODES, make_eval_cache, make_tt
 from .core.er_parallel import parallel_er
 from .costmodel import DEFAULT_COST_MODEL
 from .games.base import SearchProblem
@@ -172,8 +172,6 @@ def _observed_run(
     backend ran with ``trace`` enabled.  Each call builds a fresh eval
     cache, so the telemetry run is self-contained.
     """
-    from .cache import make_tt
-    from .eval import make_eval_cache
     from .obs import observing
     from .obs import snapshot as obs_snapshot
 
@@ -314,7 +312,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import threading as _threading
     import time as _time
 
-    from .eval import make_eval_cache
     from .obs import events as obs_events
     from .obs import live as obs_live
     from .obs.registry import MetricsRegistry
@@ -408,7 +405,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     speedups per (primitive, factor) point.
     """
     from .costmodel import CostModel
-    from .eval import make_eval_cache
     from .obs import critpath, export, whatif
     from .obs import events as obs_events
     from .obs import snapshot as obs_snapshot
@@ -542,8 +538,6 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     )
     from .parallel.threaded import threaded_er
 
-    from .eval import make_eval_cache
-
     spec = table3_suite(args.scale)[args.tree]
     counts = tuple(args.processors) if args.processors else (1, 2, 4, 8)
     status = 0
@@ -622,7 +616,6 @@ def _sim_cache_sweep(
     value equality are visible in one report.
     """
     from .core.serial_er import er_search
-    from .eval import make_eval_cache
 
     problem = spec.problem()
     config = er_config_for(spec)
@@ -1109,14 +1102,14 @@ def build_parser() -> argparse.ArgumentParser:
     speed.add_argument("--processors", type=int, nargs="*", default=None)
     speed.add_argument(
         "--tt",
-        choices=("off", "private", "shared"),
+        choices=CACHE_MODES,
         default="off",
         help="transposition table: off, private (per worker), or shared "
         "(one concurrent table; on sim it persists across the sweep)",
     )
     speed.add_argument(
         "--eval-cache",
-        choices=("off", "private", "shared"),
+        choices=CACHE_MODES,
         default="off",
         help="Zobrist-keyed static-value cache: off, private (per worker), "
         "or shared (one concurrent cache; implies batched misses)",
@@ -1220,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--eval-cache",
-        choices=("off", "private", "shared"),
+        choices=CACHE_MODES,
         default="off",
         help="run (and what-if re-run) with this eval-cache mode; each "
         "re-run gets a fresh cache so the sweep stays deterministic",
@@ -1286,13 +1279,13 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("-P", "--processors", dest="processors_single", type=int, default=4)
     top.add_argument(
         "--tt",
-        choices=("off", "private", "shared"),
+        choices=CACHE_MODES,
         default="off",
         help="transposition-table mode for the watched search",
     )
     top.add_argument(
         "--eval-cache",
-        choices=("off", "private", "shared"),
+        choices=CACHE_MODES,
         default="off",
         help="eval-cache mode for the watched search",
     )
@@ -1336,10 +1329,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--queue-limit", type=int, default=32, help="waiting requests before shedding"
         )
-        p.add_argument("--tt", choices=("off", "private", "shared"), default="shared")
-        p.add_argument(
-            "--eval-cache", choices=("off", "private", "shared"), default="off"
-        )
+        p.add_argument("--tt", choices=CACHE_MODES, default="shared")
+        p.add_argument("--eval-cache", choices=CACHE_MODES, default="off")
         p.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
         p.add_argument("--trace", choices=("off", "sampled", "full"), default="off")
         p.add_argument(

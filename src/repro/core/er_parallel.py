@@ -38,10 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from ..cache.striped import AnyTT
+from ..cache.striped import AnyTT, static_entry
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..errors import SearchError, SimulationError
-from ..eval.cache import AnyEvalCache
 from ..eval.evaluator import Evaluator
 from ..games.base import (
     NEG_INF,
@@ -57,13 +56,13 @@ from ..obs import critpath as _cp
 from ..obs import events as _obs
 from ..parallel.base import ParallelResult
 from ..search.stats import SearchStats
-from ..search.transposition import Bound, TTEntry, usable_value
+from ..search.transposition import Bound, TTEntry, TTView, usable_value
 from ..sim.engine import Engine
 from ..sim.locks import SimLock, WorkSignal
 from ..sim.ops import Acquire, Compute, Op, Release, WaitWork
 from ..verify import trace as _trace
 from .er_queues import PrimaryQueue, SpeculativeQueue, SpecOrder
-from .serial_er import TTView, er_search
+from .serial_er import er_search
 
 # Node types of Table 1.
 E_NODE = "e"
@@ -213,7 +212,7 @@ class _Context:
         trace: bool,
         n_processors: int = 1,
         tt: Optional[AnyTT] = None,
-        eval_cache: Optional[AnyEvalCache] = None,
+        eval_cache: Optional[AnyTT] = None,
         batch_eval: bool = False,
     ) -> None:
         self.problem = problem
@@ -1019,11 +1018,11 @@ def _eval_probe_parallel(
     """
     if ctx.eval_cache is None:
         return None
-    value = yield from ctx.eval_cache.view(pid).probe_op(
+    entry = yield from ctx.eval_cache.view(pid).probe_op(
         hash_key(ctx.problem.game, node.position)
     )
-    stats.on_eval_probe(ctx.cost_model, hit=value is not None)
-    return value
+    stats.on_eval_probe(ctx.cost_model, hit=entry is not None)
+    return None if entry is None else entry.value
 
 
 def _eval_store_parallel(
@@ -1034,7 +1033,7 @@ def _eval_store_parallel(
         return
     stats.on_eval_store(ctx.cost_model)
     yield from ctx.eval_cache.view(pid).store_op(
-        hash_key(ctx.problem.game, node.position), value
+        hash_key(ctx.problem.game, node.position), static_entry(value)
     )
 
 
@@ -1266,7 +1265,7 @@ def parallel_er(
     trace: bool = False,
     record_timeline: bool = False,
     tt: Optional[AnyTT] = None,
-    eval_cache: Optional[AnyEvalCache] = None,
+    eval_cache: Optional[AnyTT] = None,
     batch_eval: bool = False,
 ) -> ParallelResult:
     """Run parallel ER on ``n_processors`` simulated processors.
@@ -1286,10 +1285,11 @@ def parallel_er(
             (:func:`repro.cache.make_tt`); a shared table passed across
             successive calls carries results between runs, which is where
             the node savings come from on transposition-free random trees.
-        eval_cache: optional Zobrist-keyed static-value cache
-            (:func:`repro.eval.make_eval_cache`); parallel-level leaves
-            probe/store it through simulator ops, serial subtrees through
-            an :class:`~repro.eval.Evaluator`.  Implies batched misses.
+        eval_cache: optional Zobrist-keyed static-value cache, an
+            eval-kind store (:func:`repro.cache.make_eval_cache`);
+            parallel-level leaves probe/store it through simulator ops,
+            serial subtrees through an :class:`~repro.eval.Evaluator`.
+            Implies batched misses.
         batch_eval: batch frontier evaluations in serial subtrees even
             without a cache (``batch_eval_base``/``per_leaf`` charging).
 

@@ -45,27 +45,13 @@ the differential battery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..eval.evaluator import Evaluator
 from ..games.base import NEG_INF, POS_INF, Path, Position, SearchProblem, hash_key
 from ..search.stats import SearchResult, SearchStats
-from ..search.transposition import Bound, TTEntry, usable_value
-
-
-class TTView(Protocol):
-    """What serial ER needs from a transposition table.
-
-    Satisfied by :class:`~repro.search.transposition.TranspositionTable`,
-    every :mod:`repro.cache` table, and the per-worker views the parallel
-    drivers hand to their serial subtrees.  Parameters are positional-only
-    so implementations may name the key whatever fits their keying scheme.
-    """
-
-    def probe(self, key: int, /) -> Optional[TTEntry]: ...
-
-    def store(self, key: int, entry: TTEntry, /) -> None: ...
+from ..search.transposition import Bound, TTEntry, TTView, usable_value
 
 
 @dataclass(slots=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .cache import TT_MODES, make_tt
+from .cache import TT, check_cache_mode, make_tt
 from .core.er_parallel import ERConfig, parallel_er
 from .core.serial_er import er_search
 from .parallel.multiproc import EnginePool, multiproc_er
@@ -56,7 +56,7 @@ class EngineConfig:
         sort_below_root: ordering policy handed to each search.
         er_serial_depth: serial-depth setting for parallel ER.
         tt: transposition-table mode for the ER algorithms — ``off``,
-            ``private``, or ``shared`` (:data:`repro.cache.TT_MODES`).
+            ``private``, or ``shared`` (:data:`repro.cache.CACHE_MODES`).
             For ``er``/``parallel-er`` one table persists across the
             engine's iterative-deepening iterations and move choices, so
             shallow iterations seed the deeper ones; ``multiproc-er``
@@ -92,8 +92,7 @@ class EngineConfig:
             raise SearchError("max_depth must be at least 1")
         if self.n_processors < 1:
             raise SearchError("n_processors must be at least 1")
-        if self.tt not in TT_MODES:
-            raise SearchError(f"unknown tt mode {self.tt!r}; expected one of {TT_MODES}")
+        check_cache_mode(TT, self.tt)
         if self.pool is not None and self.algorithm != "multiproc-er":
             raise SearchError("a persistent pool only applies to 'multiproc-er'")
 

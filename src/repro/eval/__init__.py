@@ -1,38 +1,18 @@
-"""Batched static evaluation and the Zobrist-keyed evaluation cache.
+"""Batched static evaluation over the Zobrist-keyed evaluation cache.
 
 One value seam (:func:`repro.games.base.batch_eval`), one charging model
-(``CostModel.batch_eval_base``/``batch_eval_per_leaf``), three cache
-concurrency models mirroring :mod:`repro.cache`:
-:class:`StripedEvalCache`/:class:`SimStripedEvalCache` for threads and
-the discrete-event simulator, :class:`WorkerLocalEvalCache` for the
-private baseline, and :class:`SharedMemoryEvalCache` for worker
-processes.  See DESIGN.md section "Batched evaluation and the eval
-cache".
+(``CostModel.batch_eval_base``/``batch_eval_per_leaf``).  The cache
+itself is an eval-kind :mod:`repro.cache` store — the same striped,
+private and shared-memory classes as the transposition table, holding
+static values as depth-0 EXACT entries — built by
+:func:`make_eval_cache`.  See DESIGN.md section "Batched evaluation and
+the eval cache".
 """
 
-from .cache import (
-    EVAL_CACHE_MODES,
-    AnyEvalCache,
-    EvalProbeOp,
-    EvalStoreOp,
-    SharedMemoryEvalCache,
-    SimStripedEvalCache,
-    StripedEvalCache,
-    WorkerLocalEvalCache,
-    make_eval_cache,
-)
-from .evaluator import EvalCacheView, Evaluator
+from ..cache import make_eval_cache
+from .evaluator import Evaluator
 
 __all__ = [
-    "EVAL_CACHE_MODES",
-    "AnyEvalCache",
-    "EvalCacheView",
-    "EvalProbeOp",
-    "EvalStoreOp",
     "Evaluator",
-    "SharedMemoryEvalCache",
-    "SimStripedEvalCache",
-    "StripedEvalCache",
-    "WorkerLocalEvalCache",
     "make_eval_cache",
 ]

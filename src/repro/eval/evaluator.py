@@ -7,7 +7,7 @@ hooks so simulated accounting stays exact — ``batch_eval_base`` +
 ``batch_eval_per_leaf`` per batched miss instead of a full
 ``static_eval`` per leaf, plus ``eval_cache_probe``/``eval_cache_store``
 when a cache view is attached.  The parallel leaf path uses the op
-generators on the cache variants directly (:mod:`repro.eval.cache`); this
+generators of the eval-kind stores directly (:mod:`repro.cache`); this
 class never yields simulator ops.
 
 Value identity is load-bearing: ``batch_eval`` is pinned element-wise
@@ -18,29 +18,18 @@ only the cost accounting and the schedule.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
+from ..cache.striped import static_entry
 from ..costmodel import CostModel
 from ..games.base import Game, Position, batch_eval, hash_key
 from ..obs import events as _obs
 from ..search.stats import SearchStats
+from ..search.transposition import TTView
 
 #: Cost-part labels carried on Compute ops and whatif primitives.
 PART_BATCH = "batch_eval"
 PART_CACHE = "eval_cache"
-
-
-class EvalCacheView(Protocol):
-    """What the evaluator needs from a cache: a float by Zobrist key.
-
-    Satisfied by every :mod:`repro.eval.cache` variant and the per-worker
-    views they hand out.  Parameters are positional-only so
-    implementations may name the key whatever fits.
-    """
-
-    def probe(self, key: int, /) -> Optional[float]: ...
-
-    def store(self, key: int, value: float, /) -> None: ...
 
 
 class Evaluator:
@@ -50,15 +39,16 @@ class Evaluator:
         game: the evaluation substrate; its ``batch_eval`` seam (or the
             generic scalar-loop fallback) produces the values.
         cost_model: source of the batch and cache charge rates.
-        cache: optional value-cache view; when given, every position is
-            probed first and only misses are batch-evaluated and stored.
+        cache: optional eval-kind store or view; when given, every
+            position is probed first and only misses are batch-evaluated
+            and stored (as :func:`~repro.cache.static_entry` records).
     """
 
     def __init__(
         self,
         game: Game,
         cost_model: CostModel,
-        cache: Optional[EvalCacheView] = None,
+        cache: Optional[TTView] = None,
     ):
         self.game = game
         self.cost_model = cost_model
@@ -96,9 +86,10 @@ class Evaluator:
                 keys.append(key)
                 hit = self.cache.probe(key)
                 cache_cost += stats.on_eval_probe(self.cost_model, hit=hit is not None)
-                values[row] = hit
                 if hit is None:
                     miss_rows.append(row)
+                else:
+                    values[row] = hit.value
         else:
             miss_rows = list(range(n))
         batch_cost = 0.0
@@ -110,7 +101,7 @@ class Evaluator:
             for row, value in zip(miss_rows, missed):
                 values[row] = value
                 if self.cache is not None:
-                    self.cache.store(keys[row], value)
+                    self.cache.store(keys[row], static_entry(value))
                     cache_cost += stats.on_eval_store(self.cost_model)
         parts = tuple(
             (name, weight)

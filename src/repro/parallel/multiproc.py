@@ -89,13 +89,12 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from ..cache.sharedmem import SharedMemoryTT
-from ..cache.striped import TT_MODES
+from ..cache.striped import EVAL, TT, CacheKind, check_cache_mode, static_entry
 from ..core.er_parallel import CUT, STALE, ERConfig, PNode, _Context
-from ..core.serial_er import TTView, er_search
+from ..core.serial_er import er_search
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..errors import SearchError, ServeError, SimulationError
-from ..eval.cache import EVAL_CACHE_MODES, SharedMemoryEvalCache, StripedEvalCache
-from ..eval.evaluator import EvalCacheView, Evaluator
+from ..eval.evaluator import Evaluator
 from ..games.base import (
     NEG_INF,
     POS_INF,
@@ -109,7 +108,7 @@ from ..games.base import (
 from ..obs import events as _obs
 from ..obs import live as _live
 from ..search.stats import SearchStats
-from ..search.transposition import Bound, TranspositionTable, TTEntry, usable_value
+from ..search.transposition import Bound, TranspositionTable, TTEntry, TTView, usable_value
 from .channel import IN_FLIGHT_PER_WORKER, TaskChannel
 
 __all__ = [
@@ -197,7 +196,7 @@ def _unpack_stats(packed: _PackedStats) -> SearchStats:
 #: ``None`` runs the subtree searches uncached (``--tt off``).
 _WORKER_TT: Optional[TTView] = None
 #: Per-process evaluation cache; ``None`` means ``--eval-cache off``.
-_WORKER_EVAL_CACHE: Optional[EvalCacheView] = None
+_WORKER_EVAL_CACHE: Optional[TTView] = None
 #: Whether subtree searches batch frontier evaluations.
 _WORKER_BATCH_EVAL: bool = False
 
@@ -225,22 +224,19 @@ def _init_worker(
     """
     global _WORKER_TT, _WORKER_EVAL_CACHE, _WORKER_BATCH_EVAL
     _live.install_ring(trace_mode)
-    if tt_spec[0] == "shared":
-        _WORKER_TT = SharedMemoryTT.attach(tt_spec[1], tt_spec[2])
-    elif tt_spec[0] == "private":
-        _WORKER_TT = TranspositionTable(capacity=tt_spec[1])
-    else:
-        _WORKER_TT = None
+    _WORKER_TT = _worker_table(tt_spec)
+    _WORKER_EVAL_CACHE = _worker_table(eval_spec)
     _WORKER_BATCH_EVAL = bool(eval_spec[-1])
-    if eval_spec[0] == "shared":
-        _WORKER_EVAL_CACHE = SharedMemoryEvalCache.attach(eval_spec[1], eval_spec[2])
-    elif eval_spec[0] == "private":
-        # Single-stripe: a worker process is single-threaded, so the
-        # stripe lock is uncontended; this buys the float surface and
-        # the bounded-capacity table for free.
-        _WORKER_EVAL_CACHE = StripedEvalCache(eval_spec[1], n_stripes=1)
-    else:
-        _WORKER_EVAL_CACHE = None
+
+
+def _worker_table(spec: tuple[Any, ...]) -> Optional[TTView]:
+    """One cache from its spec: the mapped segment (its handle carries
+    its kind), a plain private table, or ``None``."""
+    if spec[0] == "shared":
+        return SharedMemoryTT.attach(spec[1], spec[2])
+    if spec[0] == "private":
+        return TranspositionTable(capacity=spec[1])
+    return None
 
 
 def _worker_evaluator(game: Game) -> Optional[Evaluator]:
@@ -452,13 +448,21 @@ class WorkerLedger:
         )
 
 
-def _check_cache_modes(tt_mode: str, eval_cache_mode: str) -> None:
-    if tt_mode not in TT_MODES:
-        raise SearchError(f"unknown tt mode {tt_mode!r}; expected one of {TT_MODES}")
-    if eval_cache_mode not in EVAL_CACHE_MODES:
-        raise SearchError(
-            f"unknown eval-cache mode {eval_cache_mode!r}; expected one of {EVAL_CACHE_MODES}"
-        )
+def _segment(
+    mp_ctx: Any, mode: str, capacity: int, kind: CacheKind
+) -> Optional[SharedMemoryTT]:
+    """The pool's shared segment for one cache, if its mode is ``shared``."""
+    if mode != "shared":
+        return None
+    locks = [mp_ctx.Lock() for _ in range(_SEGMENT_STRIPES)]
+    return SharedMemoryTT(capacity, _SEGMENT_STRIPES, locks=locks, kind=kind)
+
+
+def _worker_spec(mode: str, capacity: int, table: Optional[SharedMemoryTT]) -> tuple[Any, ...]:
+    """What :func:`_worker_table` rebuilds one cache from in a worker."""
+    if table is not None:
+        return ("shared", table.handle(), table.locks)
+    return ("private", capacity) if mode == "private" else ("off",)
 
 
 class EnginePool:
@@ -517,36 +521,17 @@ class EnginePool:
             raise ServeError(
                 f"unknown trace mode {trace_mode!r}; expected one of {_live.TRACE_MODES}"
             )
-        _check_cache_modes(tt_mode, eval_cache_mode)
+        check_cache_mode(TT, tt_mode)
+        check_cache_mode(EVAL, eval_cache_mode)
         self._n_workers = n_workers
         self._trace_mode = trace_mode
         mp_ctx = multiprocessing.get_context(preferred_start_method())
-        self._shared_tt: Optional[SharedMemoryTT] = None
-        self._shared_eval: Optional[SharedMemoryEvalCache] = None
-        tt_spec: tuple[Any, ...] = ("off",)
-        if tt_mode == "shared":
-            self._shared_tt = SharedMemoryTT(
-                capacity=tt_capacity,
-                n_stripes=_SEGMENT_STRIPES,
-                locks=[mp_ctx.Lock() for _ in range(_SEGMENT_STRIPES)],
-            )
-            tt_spec = ("shared", self._shared_tt.handle(), self._shared_tt.locks)
-        elif tt_mode == "private":
-            tt_spec = ("private", tt_capacity)
-        eval_spec: tuple[Any, ...] = ("off", batch_eval)
-        if eval_cache_mode == "shared":
-            self._shared_eval = SharedMemoryEvalCache(
-                _table=SharedMemoryTT(
-                    capacity=eval_cache_capacity,
-                    n_stripes=_SEGMENT_STRIPES,
-                    locks=[mp_ctx.Lock() for _ in range(_SEGMENT_STRIPES)],
-                )
-            )
-            eval_spec = (
-                "shared", self._shared_eval.handle(), self._shared_eval.locks, batch_eval
-            )
-        elif eval_cache_mode == "private":
-            eval_spec = ("private", eval_cache_capacity, batch_eval)
+        self._shared_tt = _segment(mp_ctx, tt_mode, tt_capacity, TT)
+        self._shared_eval = _segment(mp_ctx, eval_cache_mode, eval_cache_capacity, EVAL)
+        tt_spec = _worker_spec(tt_mode, tt_capacity, self._shared_tt)
+        eval_spec = (
+            *_worker_spec(eval_cache_mode, eval_cache_capacity, self._shared_eval), batch_eval
+        )
         try:
             self._executor: Optional[TaskChannel] = TaskChannel(
                 n_workers, mp_ctx, initializer=_init_worker,
@@ -578,7 +563,7 @@ class EnginePool:
         return self._shared_tt
 
     @property
-    def shared_eval(self) -> Optional[SharedMemoryEvalCache]:
+    def shared_eval(self) -> Optional[SharedMemoryTT]:
         return self._shared_eval
 
     @property
@@ -836,7 +821,7 @@ class Coordinator:
         timeout: float = 300.0,
         batch_eval: bool = False,
         shared_tt: Optional[SharedMemoryTT] = None,
-        shared_eval: Optional[SharedMemoryEvalCache] = None,
+        shared_eval: Optional[SharedMemoryTT] = None,
         trace: str = _live.TRACE_OFF,
     ) -> None:
         self.ctx = _Context(
@@ -903,19 +888,19 @@ class Coordinator:
         key = 0
         if self.shared_eval is not None or self.shared_tt is not None:
             key = hash_key(problem.game, node.position)
-        cached: Optional[float] = None
+        cached: Optional[TTEntry] = None
         if self.shared_eval is not None:
             cached = self.shared_eval.probe(key)
             stats.on_eval_probe(cm, hit=cached is not None)
         if cached is not None:
             stats.note_leaf(node.path)
-            value = cached
+            value = cached.value
         else:
             stats.on_leaf(node.path, cm)
             value = problem.game.evaluate(node.position)
             if self.shared_eval is not None:
                 stats.on_eval_store(cm)
-                self.shared_eval.store(key, value)
+                self.shared_eval.store(key, static_entry(value))
         if self.shared_tt is not None:
             stats.on_tt_store(cm)
             self.shared_tt.store(
@@ -1173,9 +1158,9 @@ def multiproc_er(
             before expanding each primary node, finishing the node
             without a task on a usable hit).
         tt_capacity: slot/entry budget for the table(s).
-        eval_cache_mode: ``off``, ``private`` (one single-stripe cache
-            per worker process), or ``shared`` (one
-            :class:`~repro.eval.SharedMemoryEvalCache` segment every
+        eval_cache_mode: ``off``, ``private`` (one plain table per
+            worker process), or ``shared`` (one eval-kind
+            :class:`~repro.cache.sharedmem.SharedMemoryTT` segment every
             worker maps; the coordinator also probes/stores it for its
             own leaves).
         eval_cache_capacity: entry budget for the eval cache(s).
@@ -1212,7 +1197,8 @@ def multiproc_er(
         config = ERConfig(serial_depth=default_serial_depth(problem.depth))
     if config.distributed_heap:
         config = replace(config, distributed_heap=False)
-    _check_cache_modes(tt_mode, eval_cache_mode)
+    check_cache_mode(TT, tt_mode)
+    check_cache_mode(EVAL, eval_cache_mode)
     if trace not in _live.TRACE_MODES:
         raise SearchError(
             f"unknown trace mode {trace!r}; expected one of {_live.TRACE_MODES}"

@@ -48,7 +48,6 @@ from ..cache.striped import AnyTT
 from ..core.er_parallel import ERConfig, _Context, _worker
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..errors import LockOrderError, SearchError, SimulationError
-from ..eval.cache import AnyEvalCache
 from ..games.base import SearchProblem
 from ..obs import live as _live
 from ..search.stats import SearchStats
@@ -208,7 +207,7 @@ def threaded_er_observed(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     timeout: float = 60.0,
     tt: Optional[AnyTT] = None,
-    eval_cache: Optional[AnyEvalCache] = None,
+    eval_cache: Optional[AnyTT] = None,
     batch_eval: bool = False,
     trace: str = _live.TRACE_OFF,
 ) -> ThreadedRun:
@@ -322,7 +321,7 @@ def threaded_er(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     timeout: float = 60.0,
     tt: Optional[AnyTT] = None,
-    eval_cache: Optional[AnyEvalCache] = None,
+    eval_cache: Optional[AnyTT] = None,
     batch_eval: bool = False,
 ) -> tuple[float, SearchStats]:
     """Compatibility wrapper over :func:`threaded_er_observed`.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Protocol
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..errors import SearchError
@@ -48,6 +48,21 @@ class TTEntry:
     depth: int  # remaining depth the value was computed with
     bound: Bound
     best_move: Optional[int]  # child index that produced the value
+
+
+class TTView(Protocol):
+    """What a search needs from a keyed store: entries by Zobrist key.
+
+    Satisfied by :class:`TranspositionTable`, every :mod:`repro.cache`
+    store (transposition table or eval cache), and the per-worker views
+    the parallel drivers hand to their serial subtrees.  Parameters are
+    positional-only so implementations may name the key whatever fits
+    their keying scheme.
+    """
+
+    def probe(self, key: int, /) -> Optional[TTEntry]: ...
+
+    def store(self, key: int, entry: TTEntry, /) -> None: ...
 
 
 def usable_value(
@@ -85,7 +100,7 @@ class TranspositionTable:
     Positions are used directly as keys (every game in this package has
     hashable positions); a production engine would use Zobrist keys, but
     the replacement and bound logic — the part that is easy to get wrong
-    — is identical.  (:class:`repro.cache.StripedTT` stripes instances
+    — is identical.  (:class:`repro.cache.SimStripedTT` stripes instances
     of this class by Zobrist key for the concurrent backends.)
 
     Replacement policy: an existing entry for the same key is kept when

@@ -2,7 +2,9 @@
 
 One request or reply per line, UTF-8 JSON with no embedded newlines —
 trivially debuggable with ``nc`` and line-buffered by construction, so
-the asyncio reader can frame messages with ``readline()``.  Three
+the asyncio reader can frame messages by newline (:func:`read_line`).
+A line longer than :data:`MAX_LINE_BYTES` is discarded whole and
+answered with one ``error`` reply; the connection stays open.  Three
 operations travel client→server: ``search`` (the payload of
 :class:`SearchRequest`), ``stats`` (scheduler counter snapshot), and
 ``shutdown`` (graceful drain).  Every search produces exactly one
@@ -19,6 +21,7 @@ data — no code crosses the socket.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -27,6 +30,7 @@ from ..errors import ServeError
 from ..obs.reqtrace import RequestTiming, timing_from_wire
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
@@ -38,6 +42,7 @@ __all__ = [
     "SearchRequest",
     "decode_line",
     "encode_line",
+    "read_line",
 ]
 
 #: Priority classes, higher is more important.  Admission control sheds
@@ -50,6 +55,37 @@ PRIORITIES = (PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_HIGH)
 STATUS_OK = "ok"
 STATUS_SHED = "shed"
 STATUS_ERROR = "error"
+
+
+#: Longest protocol line a server reads, newline excluded; also the
+#: stream reader's buffer limit.
+MAX_LINE_BYTES = 1 << 16
+
+
+async def read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next protocol line (``b""`` at end of input).
+
+    Raises :class:`ServeError` for a line longer than the reader's limit
+    (:data:`MAX_LINE_BYTES` on the server), after discarding it through
+    its newline — including any part still in flight — so the next call
+    reads the next line.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as eof:
+        return eof.partial  # a last line without its newline, or b""
+    except asyncio.LimitOverrunError as overrun:
+        skip = overrun.consumed
+    while True:
+        try:
+            await reader.readexactly(skip)
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.LimitOverrunError as overrun:
+            skip = overrun.consumed
+        except asyncio.IncompleteReadError:
+            break  # the peer closed mid-line; the next read sees the end
+    raise ServeError(f"protocol line longer than {MAX_LINE_BYTES} bytes")
 
 
 def encode_line(payload: Mapping[str, object]) -> bytes:

@@ -33,11 +33,13 @@ from ..obs import reqtrace as _reqtrace
 from ..obs.promtext import MetricsServer
 from ..workloads.suite import table3_suite
 from .api import (
+    MAX_LINE_BYTES,
     STATUS_ERROR,
     SearchReply,
     SearchRequest,
     decode_line,
     encode_line,
+    read_line,
 )
 from .pool import EnginePool, PoolEngine, ResolvedPosition
 from .scheduler import RequestScheduler, ServeMetrics
@@ -247,7 +249,7 @@ class SearchService:
             stall_sink=self._flight_record if self._flight is not None else None,
         )
         self._server = await asyncio.start_server(
-            self._on_connection, host=cfg.host, port=cfg.port
+            self._on_connection, host=cfg.host, port=cfg.port, limit=MAX_LINE_BYTES
         )
         if cfg.metrics_port is not None:
             self._metrics_server = MetricsServer(
@@ -440,7 +442,8 @@ class SearchService:
 
         Searches run concurrently (a slow deep search does not block a
         later shallow one on the same connection); a per-connection
-        lock serializes reply *writes* so frames never interleave.
+        lock serializes reply *writes* so frames never interleave.  Every
+        search started here is awaited before the writer closes.
         """
         write_lock = asyncio.Lock()
         searches: set["asyncio.Task[None]"] = set()
@@ -456,15 +459,18 @@ class SearchService:
 
         async def run_search(request: SearchRequest) -> None:
             reply = await self.handle(request)
-            await send(reply.to_wire())
+            try:
+                await send(reply.to_wire())
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # client went away; the search itself still resolved
 
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
                 payload: dict[str, object] = {}
                 try:
+                    line = await read_line(reader)
+                    if not line:
+                        break
                     payload = decode_line(line)
                     op = payload.get("op")
                     if op == "search":
@@ -488,14 +494,14 @@ class SearchService:
                         ).to_wire()
                     )
                     continue
-                task = asyncio.get_running_loop().create_task(run_search(request))
-                searches.add(task)
-                task.add_done_callback(searches.discard)
-            for task in list(searches):
-                await task
+                search = asyncio.get_running_loop().create_task(run_search(request))
+                searches.add(search)
+                search.add_done_callback(searches.discard)
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; in-flight work still resolves
         finally:
+            for search in list(searches):
+                await search
             self._conn_writers.discard(writer)
             if task is not None:
                 self._conn_tasks.discard(task)

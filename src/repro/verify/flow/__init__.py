@@ -3,7 +3,7 @@
 ``repro.verify.flow`` is the interprocedural companion to the
 per-function lints in :mod:`repro.verify.staticcheck`: it builds a
 project index over the parallel engine, its queues, and the striped
-cache subsystems, then abstractly interprets the worker generators —
+cache store, then abstractly interprets the worker generators —
 locksets across helper calls and generator delegation (VER101/VER105),
 the lock-acquisition-order graph (VER103), a static Eraser-style
 shared-write guard discipline (VER102), and charge/protocol

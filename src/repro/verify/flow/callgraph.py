@@ -1,7 +1,7 @@
 """Project index and call resolution for the flow analyzer.
 
 The analyzer is *scoped*: it parses a fixed set of modules — the
-parallel ER engine, its queues, and the two striped cache subsystems —
+parallel ER engine, its queues, and the striped cache store —
 and treats every call that leaves the set as an opaque identity (no lock
 effects, no shared writes).  That boundary is what makes the analysis
 precise enough to be a gate: the serial searcher, the stats sinks, and
@@ -36,7 +36,6 @@ ANALYZED_MODULES: tuple[str, ...] = (
     "src/repro/core/er_parallel.py",
     "src/repro/core/er_queues.py",
     "src/repro/cache/striped.py",
-    "src/repro/eval/cache.py",
 )
 
 #: Functions/methods the interpreter never enters and never checks.
@@ -186,7 +185,7 @@ class Project:
         """An ``Attribute`` call on a shared receiver: match by name.
 
         Candidates from the caller's own module win outright when any
-        exist — subsystems (the TT stripes, the eval-cache stripes) are
+        exist — subsystems (the queues, the cache stripes) are
         internally recursive but never call into each other's same-named
         methods, and cross-module name collisions would otherwise weave
         their lock families into phantom order cycles.

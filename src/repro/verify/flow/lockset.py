@@ -25,7 +25,7 @@ One combined walk computes everything the per-function lints cannot:
 Lock tokens are canonical: ``ctx.``/``self.`` receivers are stripped,
 subscripts collapse to ``[*]`` (any stripe/any processor), and
 non-well-known tokens are class-qualified (``SimStripedTT._sim_locks[*]``
-is a different lock family than ``SimStripedEvalCache._sim_locks[*]``).
+is a different lock family than ``SimStripedTT._real_locks[*]``).
 Indexed families (``[*]``) are exempt from the re-acquire check — two
 different stripes of one family may legitimately nest.
 
@@ -664,6 +664,11 @@ class _FunctionInterp(StructuredWalker):
             self.analysis.record_order(
                 held, token, self.info.path, item.context_expr.lineno
             )
+        if token in state.held:
+            # Another stripe of an indexed family already held (anything
+            # else was reported above): the outer hold outlives this
+            # block, so leaving it must not drop the token.
+            return state, None
         state.held = state.held | {token}
         state.sections[token] = [False, False]
         return state, token

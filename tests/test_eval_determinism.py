@@ -1,6 +1,6 @@
 """The eval cache must never perturb simulated determinism.
 
-A shared :class:`~repro.eval.SimStripedEvalCache` sits on the hot path of
+A shared eval-kind :class:`~repro.cache.SimStripedTT` sits on the hot path of
 every simulated leaf, so any hidden ordering dependence (dict iteration,
 id()-keyed state, wall-clock) would show up here first.  The regression
 pin is byte-level: a fixed-seed run's full telemetry stream, rendered as

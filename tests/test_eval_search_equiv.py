@@ -13,8 +13,9 @@ import pytest
 
 from repro.core.er_parallel import parallel_er
 from repro.core.serial_er import er_search
+from repro.cache import CACHE_MODES
 from repro.costmodel import DEFAULT_COST_MODEL
-from repro.eval import EVAL_CACHE_MODES, Evaluator, make_eval_cache
+from repro.eval import Evaluator, make_eval_cache
 from repro.games.base import SearchProblem
 from repro.games.connect4 import ConnectFour
 from repro.games.random_tree import IncrementalGameTree, RandomGameTree, SyntheticOrderedTree
@@ -57,7 +58,7 @@ def serial_evaluator(problem: SearchProblem, mode: str) -> Evaluator | None:
 
 
 class TestSerialEquivalence:
-    @pytest.mark.parametrize("mode", EVAL_CACHE_MODES)
+    @pytest.mark.parametrize("mode", CACHE_MODES)
     @pytest.mark.parametrize("name,problem", BATTERY, ids=IDS)
     def test_value_matches_oracle(self, name, problem, mode):
         truth = oracle(problem)
@@ -67,7 +68,7 @@ class TestSerialEquivalence:
     @pytest.mark.parametrize("name,problem", BATTERY, ids=IDS)
     def test_chosen_move_identical_across_modes(self, name, problem):
         base = er_search(problem)
-        for mode in EVAL_CACHE_MODES:
+        for mode in CACHE_MODES:
             result = er_search(problem, evaluator=serial_evaluator(problem, mode))
             assert result.value == base.value
             assert result.pv == base.pv
@@ -84,7 +85,7 @@ class TestSerialEquivalence:
 
 
 class TestSimEquivalence:
-    @pytest.mark.parametrize("mode", EVAL_CACHE_MODES)
+    @pytest.mark.parametrize("mode", CACHE_MODES)
     @pytest.mark.parametrize("name,problem", BATTERY, ids=IDS)
     def test_every_mode_matches_oracle(self, name, problem, mode):
         truth = oracle(problem)
@@ -114,7 +115,7 @@ class TestSimEquivalence:
 
 
 class TestThreadedEquivalence:
-    @pytest.mark.parametrize("mode", EVAL_CACHE_MODES)
+    @pytest.mark.parametrize("mode", CACHE_MODES)
     @pytest.mark.parametrize(
         "name,problem",
         [BATTERY[0], BATTERY[4]],
@@ -129,7 +130,7 @@ class TestThreadedEquivalence:
 
 
 class TestMultiprocEquivalence:
-    @pytest.mark.parametrize("mode", EVAL_CACHE_MODES)
+    @pytest.mark.parametrize("mode", CACHE_MODES)
     def test_every_mode_matches_oracle(self, mode):
         problem = SearchProblem(RandomGameTree(4, 5, seed=13), depth=5)
         truth = oracle(problem)

@@ -15,6 +15,7 @@ import urllib.request
 import weakref
 
 import pytest
+from conftest import shm_names, wait_for_no_children
 
 from repro.engine import EngineConfig, GameEngine
 from repro.errors import SearchError, ServeError
@@ -30,7 +31,7 @@ from repro.serve import (
     SearchService,
     ServeConfig,
 )
-from repro.serve.api import decode_line, encode_line
+from repro.serve.api import MAX_LINE_BYTES, decode_line, encode_line, read_line
 from repro.serve.client import ServiceClient
 from repro.serve.pool import EnginePool
 
@@ -100,6 +101,44 @@ def small_config(**overrides) -> ServeConfig:
     return ServeConfig(**defaults)
 
 
+class TestReadLine:
+    """Framing below the service: an over-limit line is dropped whole,
+    whether it arrives in one chunk or across many."""
+
+    @staticmethod
+    def read_all(chunks: list[bytes], limit: int = 16) -> list[object]:
+        async def scenario():
+            reader = asyncio.StreamReader(limit=limit)
+            for chunk in chunks:
+                reader.feed_data(chunk)
+            reader.feed_eof()
+            out: list[object] = []
+            while True:
+                try:
+                    line = await read_line(reader)
+                except ServeError:
+                    out.append(ServeError)
+                    continue
+                if not line:
+                    return out
+                out.append(line)
+
+        return run(scenario())
+
+    def test_oversize_line_in_one_chunk(self) -> None:
+        assert self.read_all([b"a\n" + b"x" * 40 + b"\nb\n"]) == [b"a\n", ServeError, b"b\n"]
+
+    def test_oversize_line_across_chunks(self) -> None:
+        chunks = [b"a\n", b"x" * 20, b"x" * 20, b"x" * 5 + b"\nb\n"]
+        assert self.read_all(chunks) == [b"a\n", ServeError, b"b\n"]
+
+    def test_end_of_input_inside_an_oversize_line(self) -> None:
+        assert self.read_all([b"a\n", b"x" * 40]) == [b"a\n", ServeError]
+
+    def test_last_line_without_newline(self) -> None:
+        assert self.read_all([b"a\nb"]) == [b"a\n", b"b"]
+
+
 class TestServiceOverTCP:
     def test_pipelined_searches_and_stats(self) -> None:
         async def scenario():
@@ -139,6 +178,48 @@ class TestServiceOverTCP:
         replies = run(scenario())
         assert all(r["status"] == STATUS_ERROR for r in replies)
         assert replies[2]["request_id"] == "bad"  # echoed when parseable
+
+    def test_oversize_line_gets_one_error_reply_and_the_connection_lives(self) -> None:
+        """A line past the framing limit, pipelined between a search and
+        ``stats``, costs exactly one error reply: the search before it
+        and the request after it are still answered, in order, and the
+        service leaves no shared-memory segment behind."""
+        shm_before = shm_names()
+
+        async def scenario():
+            async with SearchService(small_config()) as service:
+                host, port = service.address
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    encode_line(
+                        SearchRequest(request_id="s1", workload="R3", max_depth=2).to_wire()
+                    )
+                )
+                # 200 KB in several writes, so the tail arrives after the
+                # reader has already hit the limit.
+                for _ in range(4):
+                    writer.write(b"x" * 50_000)
+                    await writer.drain()
+                writer.write(b"\n")
+                writer.write(encode_line({"op": "stats"}))
+                await writer.drain()
+                lines = [
+                    await asyncio.wait_for(reader.readline(), timeout=30) for _ in range(3)
+                ]
+                writer.close()
+                await writer.wait_closed()
+            return [decode_line(line) for line in lines]
+
+        replies = run(scenario())
+        by_kind = {
+            reply["status"] if reply["op"] == "reply" else reply["op"]: reply for reply in replies
+        }
+        assert len(replies) == 3 and set(by_kind) == {STATUS_OK, STATUS_ERROR, "stats"}
+        assert by_kind[STATUS_OK]["request_id"] == "s1"
+        assert str(MAX_LINE_BYTES) in str(by_kind[STATUS_ERROR]["detail"])
+        assert "submitted" in by_kind["stats"]
+        assert wait_for_no_children() == []
+        assert shm_names() - shm_before == set()
 
     def test_unknown_workload_and_over_limit_depth_rejected_pre_admission(self) -> None:
         async def scenario():

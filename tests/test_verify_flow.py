@@ -152,6 +152,34 @@ def test_ver101_interprocedural_exit_imbalance() -> None:
     )
 
 
+def test_ver101_nested_stripe_of_held_family_keeps_outer_hold() -> None:
+    # ``probe_op`` holds a stripe while calling a same-named ``probe``
+    # that enters a stripe of the same family (its own locked path, as
+    # name-based resolution sees it); leaving the inner ``with`` must not
+    # drop the caller's hold.
+    findings = analyze_sources(
+        _src(
+            """
+            class Store:
+                def probe(self, key):
+                    with self._real_locks[key % 2]:
+                        entry = self._tables[key % 2].probe(key)
+                    return entry
+
+                def probe_op(self, key):
+                    yield Compute(1, tag="tt_probe")
+                    with self._real_locks[key % 2]:
+                        entry = self._tables[key % 2].probe(key)
+                    return entry
+
+            def _worker(ctx, stats, pid=0):
+                yield from ctx.tt.probe_op(1)
+            """
+        )
+    )
+    assert findings == []
+
+
 def test_ver103_order_cycle_across_functions() -> None:
     findings = analyze_sources(
         _src(
