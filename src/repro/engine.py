@@ -39,6 +39,18 @@ class MoveChoice:
     per_move_values: tuple[float, ...]
 
 
+def root_decision(child_values: Sequence[float]) -> tuple[int, tuple[float, ...]]:
+    """One deepening iteration's root rule: the best move and every move's value.
+
+    Each child's value (from the child's side to move) is negated into
+    the mover's frame; the best move is the argmax, ties going to the
+    lowest index.  :meth:`GameEngine.choose` and the service's
+    :class:`~repro.serve.pool.PoolEngine` both decide through it.
+    """
+    values = tuple(-value for value in child_values)
+    return max(range(len(values)), key=values.__getitem__), values
+
+
 @dataclass
 class EngineConfig:
     """How the engine searches.
@@ -171,15 +183,14 @@ class GameEngine:
         values: tuple[float, ...] = ()
         depth_reached = 0
         for depth in range(1, cfg.max_depth + 1):
-            iteration: list[float] = []
+            child_values: list[float] = []
             for child in children:
                 value, cost = self._evaluate_subtree(child, depth - 1)
                 spent += cost
-                iteration.append(-value)
+                child_values.append(value)
             depth_reached = depth
-            values = tuple(iteration)
-            best_index = max(range(len(children)), key=iteration.__getitem__)
-            best_value = iteration[best_index]
+            best_index, values = root_decision(child_values)
+            best_value = values[best_index]
             if cfg.budget is not None and spent >= cfg.budget:
                 break
         if _obs.CURRENT is not None:

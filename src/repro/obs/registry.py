@@ -15,8 +15,9 @@ without deciding how it is accounted.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union, overload
 
 from . import events
 
@@ -101,22 +102,67 @@ class Histogram:
         return out
 
 
-@dataclass
-class TimeSeries:
-    """Timestamped samples of one evolving quantity (e.g. a queue depth)."""
+class SampleView(Sequence[tuple[float, float]]):
+    """Read-only ``(ts, value)`` view over a :class:`TimeSeries`' columns.
 
-    samples: list[tuple[float, float]] = field(default_factory=list)
+    Indexing yields one pair, slicing a list of pairs; the view tracks
+    the series as it grows.
+    """
+
+    __slots__ = ("_ts", "_values")
+
+    def __init__(self, ts: array[float], values: array[float]) -> None:
+        self._ts = ts
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    @overload
+    def __getitem__(self, index: int) -> tuple[float, float]: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[tuple[float, float]]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[tuple[float, float], list[tuple[float, float]]]:
+        if isinstance(index, slice):
+            return list(zip(self._ts[index], self._values[index]))
+        return self._ts[index], self._values[index]
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self._ts, self._values)
+
+
+class TimeSeries:
+    """Timestamped samples of one evolving quantity (e.g. a queue depth).
+
+    Samples live in two ``array('d')`` columns, 16 bytes each, with a
+    running peak, so a scrape costs O(1).  The series is unbounded:
+    readers address samples by absolute index (``samples[a:b]`` between
+    two marks), which trimming would shift.
+    """
+
+    def __init__(self) -> None:
+        self._ts: array[float] = array("d")
+        self._values: array[float] = array("d")
+        self._peak = 0.0
+        self.samples = SampleView(self._ts, self._values)
 
     def sample(self, ts: float, value: float) -> None:
-        self.samples.append((ts, value))
+        if not self._values or value > self._peak:
+            self._peak = value
+        self._ts.append(ts)
+        self._values.append(value)
 
     @property
     def peak(self) -> float:
-        return max((v for _, v in self.samples), default=0.0)
+        return self._peak
 
     @property
     def last(self) -> float:
-        return self.samples[-1][1] if self.samples else 0.0
+        return self._values[-1] if self._values else 0.0
 
 
 class MetricsRegistry:
@@ -141,7 +187,10 @@ class MetricsRegistry:
         return self._histograms.setdefault(name, Histogram(bounds=bounds))
 
     def timeseries(self, name: str) -> TimeSeries:
-        return self._series.setdefault(name, TimeSeries())
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = TimeSeries()
+        return series
 
     def collect(self) -> dict[str, MetricValue]:
         """Flatten every metric to plain JSON-serializable values."""

@@ -99,7 +99,6 @@ from ..games.base import (
     NEG_INF,
     POS_INF,
     Game,
-    Position,
     RootedGame,
     SearchProblem,
     hash_key,
@@ -640,9 +639,10 @@ class EnginePool:
         """Stable worker index -> OS pid, for labeling exported tracks."""
         return self._ledger.pids()
 
-    def probe_exact(self, game: Game, position: Position, depth: int) -> Optional[float]:
+    def probe_exact(self, key: int, depth: int) -> Optional[float]:
         """Answer a full-window subtree from the warm table, if it can.
 
+        ``key`` is the subtree root's :func:`~repro.games.base.hash_key`.
         The gate is :func:`~repro.search.transposition.usable_value` at
         the open window, the one :func:`~repro.core.serial_er.er_search`
         applies at the subtree's root, so a short-circuit here returns
@@ -652,7 +652,7 @@ class EnginePool:
         table = self.shared_tt
         if table is None:
             return None
-        value = usable_value(table.probe(hash_key(game, position)), depth, NEG_INF, POS_INF)
+        value = usable_value(table.probe(key), depth, NEG_INF, POS_INF)
         if value is not None:
             self.counters["tt_short_circuits"] += 1
         return value

@@ -7,7 +7,8 @@ A line longer than :data:`MAX_LINE_BYTES` is discarded whole and
 answered with one ``error`` reply; the connection stays open.  Three
 operations travel client→server: ``search`` (the payload of
 :class:`SearchRequest`), ``stats`` (scheduler counter snapshot), and
-``shutdown`` (graceful drain).  Every search produces exactly one
+``shutdown`` (graceful drain; accepted only from a loopback peer,
+anyone else gets an ``error`` reply).  Every search produces exactly one
 :class:`SearchReply` whose ``status`` is ``ok`` (a move), ``shed``
 (explicit load-shedding rejection — the request was *not* silently
 dropped), or ``error`` (malformed request or a search failure).

@@ -3,13 +3,18 @@
 :class:`PoolEngine` is the service's
 :class:`~repro.serve.scheduler.DeepeningEngine`: one deepening
 iteration evaluates every root move's subtree full-window in a worker
-process of an :class:`~repro.parallel.multiproc.EnginePool` and
-argmaxes the negated values — byte-for-byte the decision rule of
-:meth:`repro.engine.GameEngine.choose`, which is what the cross-request
-parity battery pins against the serial alpha-beta oracle.  Before
-paying a task round-trip it probes the pool's warm shared TT
+process of an :class:`~repro.parallel.multiproc.EnginePool` and decides
+with :func:`repro.engine.root_decision`, the rule
+:meth:`repro.engine.GameEngine.choose` uses too, which is what the
+cross-request parity battery pins against the serial alpha-beta oracle.
+Before paying a task round-trip it probes the pool's warm shared TT
 coordinator-side for an EXACT entry deep enough to answer the subtree
 outright, so repeated and overlapping requests collapse to table hits.
+
+The engine never resolves a request itself.  The service resolves each
+request once, at admission, into a :class:`ResolvedPosition` (position,
+root children and their table keys); the scheduler's ticket carries it,
+and every deepening iteration reads it.
 
 :class:`~repro.parallel.multiproc.EnginePool` itself lives with the
 worker initializer and task format in :mod:`repro.parallel.multiproc`;
@@ -21,8 +26,9 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
+from ..engine import root_decision
 from ..games.base import Game, Position, RootedGame, SearchProblem
 from ..obs import live as _live
 from ..obs import reqtrace as _reqtrace
@@ -35,12 +41,17 @@ __all__ = ["EnginePool", "PoolEngine", "ResolvedPosition"]
 
 @dataclass(frozen=True)
 class ResolvedPosition:
-    """A request's position, resolved against its workload's game."""
+    """A request's position, resolved against its workload's game.
+
+    ``keys[i]`` is ``hash_key(game, children[i])``: the table key each
+    iteration probes for root move ``i``, computed once per request.
+    """
 
     game: Game
     position: Position
     children: tuple[Position, ...]
     sort_below_root: int
+    keys: tuple[int, ...]
 
 
 class PoolEngine:
@@ -48,9 +59,6 @@ class PoolEngine:
 
     Args:
         pool: the warm pool to fan out on.
-        resolve: callback mapping a request to its
-            :class:`ResolvedPosition` (the server caches game instances
-            per workload and applies :func:`~repro.games.base.follow_path`).
         span_ring: optional :class:`~repro.obs.live.SpanRing` receiving
             one ``serve`` span per iteration, named
             ``iteration@<request_id>/<span_id>.d<depth>`` so the
@@ -60,27 +68,23 @@ class PoolEngine:
     def __init__(
         self,
         pool: EnginePool,
-        resolve: Callable[[SearchRequest], ResolvedPosition],
         *,
         span_ring: Optional[_live.SpanRing] = None,
     ) -> None:
         self._pool = pool
-        self._resolve = resolve
         self._ring = span_ring
 
     async def run_iteration(
-        self, request: SearchRequest, depth: int
+        self, request: SearchRequest, depth: int, resolved: ResolvedPosition
     ) -> IterationResult:
-        """Evaluate every root move to ``depth - 1``; argmax the negations.
+        """Evaluate every root move of ``resolved`` to ``depth - 1``.
 
         Mirrors one iteration of :meth:`repro.engine.GameEngine.choose`
         exactly: each child subtree is searched full-window as its own
         :class:`~repro.games.base.SearchProblem` rooted at the child,
-        values are negated into the mover's frame, and ties resolve to
-        the lowest move index.
+        and :func:`~repro.engine.root_decision` picks the move.
         """
         t0 = time.perf_counter()
-        resolved = self._resolve(request)
         # One child span id per deepening iteration; the tag only rides
         # to the workers when they record spans at all, keeping the
         # ``off`` payload byte-identical to the multiproc driver's.
@@ -92,9 +96,9 @@ class PoolEngine:
         pending: list[tuple[int, float, "asyncio.Future[TaskOutcome]"]] = []
         values: list[Optional[float]] = [None] * len(resolved.children)
         for index, child in enumerate(resolved.children):
-            hit = self._pool.probe_exact(resolved.game, child, depth - 1)
+            hit = self._pool.probe_exact(resolved.keys[index], depth - 1)
             if hit is not None:
-                values[index] = -hit
+                values[index] = hit
                 continue
             problem = SearchProblem(
                 game=RootedGame(resolved.game, child),
@@ -106,15 +110,15 @@ class PoolEngine:
             pending.append((index, submitted_at, asyncio.wrap_future(future, loop=loop)))
         for index, submitted_at, wrapped in pending:
             outcome = await wrapped
-            values[index] = -self._pool.note_outcome(outcome, submitted_at=submitted_at)
-        iteration = [v for v in values if v is not None]
-        assert len(iteration) == len(values), "every child resolved to a value"
-        best_index = max(range(len(iteration)), key=iteration.__getitem__)
+            values[index] = self._pool.note_outcome(outcome, submitted_at=submitted_at)
+        child_values = [v for v in values if v is not None]
+        assert len(child_values) == len(values), "every child resolved to a value"
+        best_index, per_move = root_decision(child_values)
         if self._ring is not None:
             name = _live.tag_span_name("iteration", context.tag)
             self._ring.record("serve", name, t0, time.perf_counter())
         return IterationResult(
             move_index=best_index,
-            value=iteration[best_index],
-            per_move_values=tuple(iteration),
+            value=per_move[best_index],
+            per_move_values=per_move,
         )

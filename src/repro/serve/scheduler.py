@@ -22,6 +22,11 @@ Hypothesis battery in ``tests/test_serve_scheduler.py`` — is:
   (new arrivals shed with reason ``shutdown``) and completes every
   already-admitted request.
 
+The scheduler never looks inside a request's position.  Its owner
+resolves each request once, before admission, and passes the result as
+``resolved``; the request's ticket carries it, and every deepening
+iteration hands it to the engine unchanged.
+
 The scheduler itself is single-threaded asyncio; the one genuinely
 cross-thread surface is :class:`ServeMetrics`, which the Prometheus
 scrape thread reads while the event loop writes.  Its lock and accesses
@@ -37,7 +42,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Awaitable, Callable, Optional, Protocol
+from typing import Any, Awaitable, Callable, Optional, Protocol
 
 from ..errors import ServeError
 from ..obs import registry as _registry
@@ -95,16 +100,19 @@ class IterationResult:
 class DeepeningEngine(Protocol):
     """What the scheduler runs: one deepening iteration at a time.
 
-    ``run_iteration(request, depth)`` evaluates every root move of the
-    request's position to ``depth - 1`` and returns the argmax decision
-    — the same per-iteration contract as
-    :meth:`repro.engine.GameEngine.choose`.  Splitting the search at
+    ``run_iteration(request, depth, resolved)`` evaluates every root
+    move of the request's position to ``depth - 1`` and returns the
+    argmax decision — the same per-iteration contract as
+    :meth:`repro.engine.GameEngine.choose`.  ``resolved`` is what the
+    scheduler's owner passed to :meth:`RequestScheduler.submit` for the
+    request (the service's :class:`~repro.serve.pool.ResolvedPosition`),
+    the same object in every iteration.  Splitting the search at
     iteration granularity is what gives the scheduler its anytime
     deadline point without reaching inside a search.
     """
 
     def run_iteration(
-        self, request: SearchRequest, depth: int
+        self, request: SearchRequest, depth: int, resolved: Any
     ) -> Awaitable[IterationResult]: ...
 
 
@@ -227,6 +235,7 @@ class _Ticket:
     future: "asyncio.Future[SearchReply]"
     admitted_at: float
     arrived_at: float
+    resolved: Any
 
 
 class RequestScheduler:
@@ -321,20 +330,29 @@ class RequestScheduler:
     # -- submission ---------------------------------------------------------
 
     async def submit(
-        self, request: SearchRequest, *, arrived_at: Optional[float] = None
+        self,
+        request: SearchRequest,
+        *,
+        arrived_at: Optional[float] = None,
+        resolved: Any = None,
     ) -> SearchReply:
         """Admit (or shed) ``request`` and await its one reply."""
-        return await self.submit_nowait(request, arrived_at=arrived_at)
+        return await self.submit_nowait(request, arrived_at=arrived_at, resolved=resolved)
 
     def submit_nowait(
-        self, request: SearchRequest, *, arrived_at: Optional[float] = None
+        self,
+        request: SearchRequest,
+        *,
+        arrived_at: Optional[float] = None,
+        resolved: Any = None,
     ) -> "asyncio.Future[SearchReply]":
         """Admission decision now; the returned future resolves exactly once.
 
         ``arrived_at`` is the caller's arrival stamp on *this
         scheduler's clock*; it anchors the ``admission`` stage of the
         reply's latency decomposition (absent = the admission stamp,
-        i.e. a zero-width stage).
+        i.e. a zero-width stage).  ``resolved`` is handed, unchanged,
+        to every deepening iteration of the request.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[SearchReply]" = loop.create_future()
@@ -363,6 +381,7 @@ class RequestScheduler:
             future=future,
             admitted_at=admitted_at,
             arrived_at=admitted_at if arrived_at is None else arrived_at,
+            resolved=resolved,
         )
         self._queues[request.priority].append(ticket)
         self._note_depth()
@@ -420,7 +439,7 @@ class RequestScheduler:
         try:
             for depth in range(1, request.max_depth + 1):
                 iter_start = self._clock()
-                best = await engine.run_iteration(request, depth)
+                best = await engine.run_iteration(request, depth, ticket.resolved)
                 iter_end = self._clock()
                 iteration_bounds.append((iter_start, iter_end))
                 depth_reached = depth
@@ -554,9 +573,9 @@ class RequestScheduler:
         """Drop the engine and the sinks of a drained scheduler.
 
         An owner whose engine or sinks call back into it (the service's
-        resolver and flight recorder) would otherwise stay in a
-        reference cycle with this scheduler once stopped.  The counters
-        stay readable; later submissions are shed as during a drain.
+        flight recorder) would otherwise stay in a reference cycle with
+        this scheduler once stopped.  The counters stay readable; later
+        submissions are shed as during a drain.
         """
         if self.in_flight:
             raise ServeError("detach() needs a drained scheduler")

@@ -23,11 +23,12 @@ scheduler's conservation laws balance.
 from __future__ import annotations
 
 import asyncio
+import ipaddress
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from ..errors import ReproError, ServeError
-from ..games.base import Game, follow_path
+from ..games.base import Game, follow_path, hash_key
 from ..obs import live as _live
 from ..obs import reqtrace as _reqtrace
 from ..obs.promtext import MetricsServer
@@ -44,7 +45,32 @@ from .api import (
 from .pool import EnginePool, PoolEngine, ResolvedPosition
 from .scheduler import RequestScheduler, ServeMetrics
 
-__all__ = ["SearchService", "ServeConfig", "ServeWorkload", "suite_catalog"]
+__all__ = [
+    "SearchService",
+    "ServeConfig",
+    "ServeWorkload",
+    "is_loopback_peer",
+    "suite_catalog",
+]
+
+
+def is_loopback_peer(peername: object) -> bool:
+    """Whether a socket's ``peername`` is a loopback address.
+
+    Only loopback peers may stop the service with ``op: shutdown``: a
+    remote client must not be able to end everyone's service.  IPv4
+    addresses mapped into IPv6 count as their IPv4 form; anything that
+    is not an IP address pair is refused.
+    """
+    if not isinstance(peername, tuple) or not peername:
+        return False
+    try:
+        address = ipaddress.ip_address(peername[0])
+    except (TypeError, ValueError):
+        return False
+    if isinstance(address, ipaddress.IPv6Address) and address.ipv4_mapped is not None:
+        address = address.ipv4_mapped
+    return address.is_loopback
 
 
 @dataclass(frozen=True)
@@ -234,7 +260,7 @@ class SearchService:
         # Worker results are read on this loop as they arrive; no thread
         # in this process relays them.
         self.pool.executor.attach(asyncio.get_running_loop())
-        engine = PoolEngine(self.pool, self._resolve, span_ring=self.ring)
+        engine = PoolEngine(self.pool, span_ring=self.ring)
         # One clock end to end: the scheduler stamps with the same
         # wall_clock as handle()'s arrival stamp, which is what makes
         # the per-request latency decomposition conserve exactly.
@@ -316,9 +342,9 @@ class SearchService:
         if self._metrics_server is not None:
             self._metrics_server.stop()
             self._metrics_server = None
-        # Break the cycles back into this service (the engine's resolver,
-        # the stall sink, the listener's connection callback) so that
-        # reference counting alone frees it, its metrics and its pool.
+        # Break the cycles back into this service (the stall sink, the
+        # listener's connection callback) so that reference counting
+        # alone frees it, its metrics and its pool.
         if self.scheduler is not None:
             self.scheduler.detach()
         self._server = None
@@ -341,7 +367,11 @@ class SearchService:
         return game
 
     def _resolve(self, request: SearchRequest) -> ResolvedPosition:
-        """Map a wire request onto a concrete position; raises ServeError."""
+        """Map a wire request onto a concrete position; raises ServeError.
+
+        Called once per request, before admission; every deepening
+        iteration reuses the result.
+        """
         workload = self._catalog.get(request.workload)
         if workload is None:
             raise ServeError(
@@ -363,6 +393,7 @@ class SearchService:
             position=position,
             children=children,
             sort_below_root=workload.sort_below_root,
+            keys=tuple(hash_key(game, child) for child in children),
         )
 
     async def handle(self, request: SearchRequest) -> SearchReply:
@@ -378,14 +409,16 @@ class SearchService:
         # decomposition's ``admission`` stage, on the scheduler's clock.
         arrived_at = _live.wall_clock()
         try:
-            self._resolve(request)
+            resolved = self._resolve(request)
         except ReproError as error:
             return SearchReply(
                 request_id=request.request_id,
                 status=STATUS_ERROR,
                 detail=str(error),
             )
-        reply = await self.scheduler.submit(request, arrived_at=arrived_at)
+        reply = await self.scheduler.submit(
+            request, arrived_at=arrived_at, resolved=resolved
+        )
         name = _live.tag_span_name(
             "request", _reqtrace.span_tag(request.request_id, request.span_id or "root")
         )
@@ -479,6 +512,8 @@ class SearchService:
                         await send({"op": "stats", **self.stats_snapshot()})
                         continue
                     elif op == "shutdown":
+                        if not is_loopback_peer(writer.get_extra_info("peername")):
+                            raise ServeError("shutdown is accepted only from a loopback peer")
                         await send({"op": "shutdown-ack"})
                         self.request_shutdown()
                         continue

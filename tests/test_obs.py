@@ -27,6 +27,7 @@ from repro.obs import EVENT_METRICS, OP_METRICS, aggregate, observing, self_chec
 from repro.obs import events as obs_events
 from repro.obs import ledger
 from repro.obs.export import render_chrome_trace, render_jsonl
+from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import (
     SIM_UNITS,
     Snapshot,
@@ -131,6 +132,20 @@ class TestBusAndRegistry:
 
     def test_self_check_is_clean(self):
         assert self_check() == []
+
+    def test_timeseries_samples_view_and_running_peak(self):
+        series = MetricsRegistry().timeseries("depth")
+        assert (series.peak, series.last, len(series.samples)) == (0.0, 0.0, 0)
+        for ts, value in ((1.0, -2.0), (2.0, 5.0), (3.0, 1.0)):
+            series.sample(ts, value)
+        assert (series.peak, series.last) == (5.0, 1.0)
+        assert len(series.samples) == 3
+        assert series.samples[0] == (1.0, -2.0) and series.samples[-1] == (3.0, 1.0)
+        assert series.samples[1:3] == [(2.0, 5.0), (3.0, 1.0)]
+        assert list(series.samples) == [(1.0, -2.0), (2.0, 5.0), (3.0, 1.0)]
+        negative = MetricsRegistry().timeseries("negative")
+        negative.sample(1.0, -3.0)
+        assert negative.peak == -3.0
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,9 @@ class FakeEngine:
     def __init__(self, clock: FakeClock) -> None:
         self.clock = clock
 
-    async def run_iteration(self, request: SearchRequest, depth: int) -> IterationResult:
+    async def run_iteration(
+        self, request: SearchRequest, depth: int, resolved: object = None
+    ) -> IterationResult:
         self.clock.advance(ITERATION_COST)
         await asyncio.sleep(0)
         return IterationResult(

@@ -54,7 +54,9 @@ class FakeEngine:
         self.started: list[str] = []  # request_id at first-iteration start
         self.iterations = 0
 
-    async def run_iteration(self, request: SearchRequest, depth: int) -> IterationResult:
+    async def run_iteration(
+        self, request: SearchRequest, depth: int, resolved: object = None
+    ) -> IterationResult:
         if depth == 1:
             self.started.append(request.request_id)
         self.iterations += 1
