@@ -45,7 +45,7 @@ from multiprocessing import shared_memory
 from typing import Any, Optional, Sequence
 
 from ..errors import SearchError
-from ..obs import live as _live
+from ..obs import probe as _probe
 from ..search.transposition import Bound, TTEntry
 from .striped import TT, CacheKind
 
@@ -198,8 +198,9 @@ class SharedMemoryTT:
 
     def probe(self, key: int) -> Optional[TTEntry]:
         # Span recording is two ring calls around the locked section;
-        # with no ring installed it is one module-global load.
-        ring = _live.RING
+        # with no probe attached it is one module-global load.
+        p = _probe.CURRENT
+        ring = p.ring if p is not None else None
         token = ring.begin() if ring is not None else -1.0
         entry = self._probe_impl(key)
         if ring is not None:
@@ -221,7 +222,8 @@ class SharedMemoryTT:
         return None
 
     def store(self, key: int, entry: TTEntry) -> None:
-        ring = _live.RING
+        p = _probe.CURRENT
+        ring = p.ring if p is not None else None
         token = ring.begin() if ring is not None else -1.0
         self._store_impl(key, entry)
         if ring is not None:

@@ -52,10 +52,11 @@ from typing import Generator, Iterable, Optional, Union
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..errors import SearchError
 from ..obs import events as _obs
+from ..obs import probe as _probe
 from ..search.transposition import Bound, TranspositionTable, TTEntry
 from ..sim.locks import SimLock
 from ..sim.ops import Acquire, Compute, Op, Release
-from ..verify import trace as _trace
+from ..verify.trace import WRITE
 
 #: Generator type of a store op: yields simulator ops, returns the probe
 #: result (or ``None`` for stores).
@@ -212,31 +213,25 @@ class SimStripedTT(_Summed):
     def probe(self, key: int) -> Optional[TTEntry]:
         index = self.stripe_of(key)
         with self._real_locks[index]:
-            if _trace.CURRENT is not None:
-                # Mirror the threaded driver's discipline: ACQUIRE after
-                # the real acquire, RELEASE before the real release, and
-                # a WRITE access (probe refreshes LRU order) in between,
-                # so the race detector sees a properly locked mutation.
+            p = _probe.CURRENT
+            if p is not None:
+                # Mirror the threaded driver's discipline: the section's
+                # ACQUIRE, WRITE (probe refreshes LRU order) and RELEASE
+                # are reported under the real lock, so the race detector
+                # sees a properly locked mutation.
                 name = self.kind.name
-                _trace.on_acquire(f"{name}-stripe-{index}")
-                _trace.on_access(f"{name}.stripe{index}", _trace.WRITE)
-                entry = self._tables[index].probe(key)
-                _trace.on_release(f"{name}-stripe-{index}")
-            else:
-                entry = self._tables[index].probe(key)
+                p.locked_access(f"{name}-stripe-{index}", f"{name}.stripe{index}", WRITE)
+            entry = self._tables[index].probe(key)
         return entry
 
     def store(self, key: int, entry: TTEntry) -> None:
         index = self.stripe_of(key)
         with self._real_locks[index]:
-            if _trace.CURRENT is not None:
+            p = _probe.CURRENT
+            if p is not None:
                 name = self.kind.name
-                _trace.on_acquire(f"{name}-stripe-{index}")
-                _trace.on_access(f"{name}.stripe{index}", _trace.WRITE)
-                self._tables[index].store(key, entry)
-                _trace.on_release(f"{name}-stripe-{index}")
-            else:
-                self._tables[index].store(key, entry)
+                p.locked_access(f"{name}-stripe-{index}", f"{name}.stripe{index}", WRITE)
+            self._tables[index].store(key, entry)
 
     def clear(self) -> None:
         for index, table in enumerate(self._tables):
@@ -249,8 +244,9 @@ class SimStripedTT(_Summed):
         # threads report contention through lock-wait timings instead.
         if self._sim_locks[index].holder is not None:
             self.contended += 1
-            if _obs.CURRENT is not None:
-                _obs.CURRENT.emit(self.kind.contention_event, stripe=index, op=op)
+            p = _probe.CURRENT
+            if p is not None:
+                p.emit(self.kind.contention_event, stripe=index, op=op)
 
     def probe_op(self, key: int) -> TTProbeOp:
         index = self.stripe_of(key)
@@ -261,8 +257,9 @@ class SimStripedTT(_Summed):
         yield Compute(getattr(self.cost_model, kind.probe_cost), tag=kind.probe_cost)
         with self._real_locks[index]:
             entry = self._tables[index].probe(key)
-        if _obs.CURRENT is not None:
-            _obs.CURRENT.emit(kind.probe_event, stripe=index, hit=entry is not None)
+        p = _probe.CURRENT
+        if p is not None:
+            p.emit(kind.probe_event, stripe=index, hit=entry is not None)
         yield Release(lock)
         return entry
 
@@ -278,8 +275,9 @@ class SimStripedTT(_Summed):
             evictions_before = table.evictions
             table.store(key, entry)
             evicted = table.evictions > evictions_before
-        if _obs.CURRENT is not None:
-            _obs.CURRENT.emit(kind.store_event, stripe=index, evicted=evicted)
+        p = _probe.CURRENT
+        if p is not None:
+            p.emit(kind.store_event, stripe=index, evicted=evicted)
         yield Release(lock)
 
 
@@ -309,8 +307,9 @@ class _PrivateView:
         kind = self._kind
         yield Compute(getattr(self._cost_model, kind.probe_cost), tag=kind.probe_cost)
         entry = self.table.probe(key)
-        if _obs.CURRENT is not None:
-            _obs.CURRENT.emit(kind.probe_event, stripe=-1, hit=entry is not None)
+        p = _probe.CURRENT
+        if p is not None:
+            p.emit(kind.probe_event, stripe=-1, hit=entry is not None)
         return entry
 
     def store_op(self, key: int, entry: TTEntry) -> TTStoreOp:
@@ -318,10 +317,9 @@ class _PrivateView:
         yield Compute(getattr(self._cost_model, kind.store_cost), tag=kind.store_cost)
         evictions_before = self.table.evictions
         self.table.store(key, entry)
-        if _obs.CURRENT is not None:
-            _obs.CURRENT.emit(
-                kind.store_event, stripe=-1, evicted=self.table.evictions > evictions_before
-            )
+        p = _probe.CURRENT
+        if p is not None:
+            p.emit(kind.store_event, stripe=-1, evicted=self.table.evictions > evictions_before)
 
 
 class WorkerLocalTT(_Summed):

@@ -16,6 +16,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -665,19 +666,14 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from .obs import critpath
 
     spec = table3_suite(args.scale)[args.tree]
-    recorder = critpath.ScheduleRecorder() if args.critpath else None
-    if recorder is not None:
-        critpath.install(recorder)
-    try:
+    with contextlib.ExitStack() as stack:
+        recorder = stack.enter_context(critpath.recording()) if args.critpath else None
         result = parallel_er(
             spec.problem(),
             args.processors_single,
             config=er_config_for(spec),
             record_timeline=True,
         )
-    finally:
-        if recorder is not None:
-            critpath.uninstall()
     cp = critpath.extract(recorder, result.sim_time) if recorder is not None else None
     print(
         f"{spec.name} on {args.processors_single} processors "

@@ -52,15 +52,15 @@ from ..games.base import (
     hash_key,
     subproblem,
 )
-from ..obs import critpath as _cp
 from ..obs import events as _obs
+from ..obs import probe as _probe
 from ..parallel.base import ParallelResult
 from ..search.stats import SearchStats
 from ..search.transposition import Bound, TTEntry, TTView, usable_value
 from ..sim.engine import Engine
 from ..sim.locks import SimLock, WorkSignal
 from ..sim.ops import Acquire, Compute, Op, Release, WaitWork
-from ..verify import trace as _trace
+from ..verify.trace import READ, WRITE
 from .er_queues import PrimaryQueue, SpeculativeQueue, SpecOrder
 from .serial_er import er_search
 
@@ -265,8 +265,9 @@ class _Context:
         consistent lock (pops under the heap lock, tree bookkeeping under
         the tree lock).
         """
-        if _trace.CURRENT is not None:
-            _trace.on_access(f"counters.{key}", _trace.WRITE)
+        p = _probe.CURRENT
+        if p is not None:
+            p.access(f"counters.{key}", WRITE)
         self.counters[key] += amount
 
     @staticmethod
@@ -277,14 +278,9 @@ class _Context:
         cutoff floors); they are stringified so every event payload stays
         strict-JSON-serializable.
         """
-        if _obs.CURRENT is None:
-            return
-        if "value" in data:
-            raw = data["value"]
-            if isinstance(raw, float) and (raw == NEG_INF or raw == POS_INF):
-                data["value"] = str(raw)
-        path = "/".join(map(str, node.path)) or "root"
-        _obs.CURRENT.emit(etype, path=path, **data)
+        p = _probe.CURRENT
+        if p is not None:
+            p.node_event(etype, node.path, **data)
 
     @staticmethod
     def _note(node: PNode, kind: str) -> None:
@@ -295,9 +291,9 @@ class _Context:
         problem heap (push under one critical section, pop under another),
         which a pure lockset analysis would misreport.
         """
-        if _trace.CURRENT is not None:
-            path = "/".join(map(str, node.path)) or "root"
-            _trace.on_access(f"node:{path}", kind)
+        p = _probe.CURRENT
+        if p is not None:
+            p.node_access(node.path, kind)
 
     # -- window / cutoff machinery ----------------------------------------
 
@@ -394,7 +390,7 @@ class _Context:
         # worker owns the node, and a first expansion cannot overlap any
         # other worker's access (children do not exist yet, so no combine
         # can reach it); the handoff itself is ordered by the heap lock.
-        self._note(node, _trace.WRITE)
+        self._note(node, WRITE)
         if not successors:
             node.is_leaf = True
             node.child_positions = []
@@ -424,7 +420,7 @@ class _Context:
 
     def make_child(self, node: PNode, index: int, ntype: str) -> PNode:
         assert node.child_positions is not None and node.children is not None
-        self._note(node, _trace.WRITE)
+        self._note(node, WRITE)
         child = PNode(
             node.child_positions[index],
             node.path + (index,),
@@ -450,7 +446,7 @@ class _Context:
             return
         if self._best_candidate(node) is None:
             return
-        self._note(node, _trace.WRITE)
+        self._note(node, WRITE)
         node.on_spec = True
         pushes.append(("spec", node))
 
@@ -502,8 +498,8 @@ class _Context:
             candidate = self._best_candidate(node, include_refutable=True)
         if candidate is None:
             return False
-        self._note(candidate, _trace.WRITE)
-        self._note(node, _trace.WRITE)
+        self._note(candidate, WRITE)
+        self._note(node, WRITE)
         candidate.ntype = E_NODE
         node.e_children += 1
         node.e_child_selected = True
@@ -514,7 +510,7 @@ class _Context:
 
     def start_refutation(self, node: PNode, pushes: list[tuple[str, PNode]]) -> None:
         """Table 2, row 3: convert remaining children to r-nodes."""
-        self._note(node, _trace.WRITE)
+        self._note(node, WRITE)
         node.refutation_started = True
         assert node.children is not None
         # Only children whose Eval_first has completed are released now; a
@@ -541,7 +537,7 @@ class _Context:
             self._convert_to_r(child, pushes)
 
     def _convert_to_r(self, child: PNode, pushes: list[tuple[str, PNode]]) -> None:
-        self._note(child, _trace.WRITE)
+        self._note(child, WRITE)
         child.ntype = R_NODE
         if child.child_positions is not None and not child.is_leaf:
             child.next_child = max(child.next_child, 1)
@@ -559,14 +555,14 @@ class _Context:
         window refutes it (its value is raised to the cutoff floor; the
         caller finishes it), else :data:`LIVE`.
         """
-        self._note(node, _trace.READ)
+        self._note(node, READ)
         if node.done or self.has_finished_ancestor(node):
             self._bump("stale_discards")
             return STALE, (NEG_INF, POS_INF)
         window = self.window(node)
         alpha, beta = window
         if node.value >= beta or alpha >= beta:
-            self._note(node, _trace.WRITE)
+            self._note(node, WRITE)
             if beta > node.value:
                 node.value = beta
             self._bump("cutoff_discards")
@@ -579,7 +575,7 @@ class _Context:
 
     def expand_children(self, node: PNode, pushes: list[tuple[str, PNode]]) -> None:
         """Table 1 node generation above serial depth."""
-        self._note(node, _trace.WRITE)
+        self._note(node, WRITE)
         if node.ntype == E_NODE:
             # Generate all (remaining) children as undecided nodes.  A
             # promoted e-child arrives here with its first child already
@@ -601,7 +597,7 @@ class _Context:
 
     def speculative_step(self, node: PNode, pushes: list[tuple[str, PNode]]) -> None:
         """A speculative-queue pop: select one more e-child of ``node``."""
-        self._note(node, _trace.WRITE)
+        self._note(node, WRITE)
         node.on_spec = False
         if (
             not node.done
@@ -626,7 +622,7 @@ class _Context:
         because a sibling's result tightened the window since the pop-time
         screen (``value >= beta``), or because no child is left.
         """
-        self._note(node, _trace.READ)
+        self._note(node, READ)
         value = max(node.value, window[0])
         start = node.next_child
         return value, start, value >= window[1] or start >= node.n_children
@@ -645,7 +641,7 @@ class _Context:
         ``refute_if_cut`` applies :meth:`_mark_refuted_if_cut` for
         abandoned serial searches.
         """
-        self._note(node, _trace.WRITE)
+        self._note(node, WRITE)
         if value is not None and value > node.value:
             node.value = value
         if refute_if_cut:
@@ -689,8 +685,8 @@ class _Context:
             if parent.done:
                 return levels  # orphaned subtree; results are moot
             levels += 1
-            self._note(current, _trace.WRITE)
-            self._note(parent, _trace.WRITE)
+            self._note(current, WRITE)
+            self._note(parent, WRITE)
             if current.done:
                 if not current.counted:
                     current.counted = True
@@ -732,10 +728,10 @@ class _Context:
             # elder grandchild of the grandparent is evaluated.
             grand = parent.parent
             if not parent.elder_counted:
-                self._note(parent, _trace.WRITE)
+                self._note(parent, WRITE)
                 parent.elder_counted = True
                 if grand is not None and not grand.done:
-                    self._note(grand, _trace.WRITE)
+                    self._note(grand, WRITE)
                     grand.elder_done += 1
             if grand is not None and not grand.done and grand.ntype == E_NODE:
                 if grand.refutation_started:
@@ -782,9 +778,10 @@ class _Context:
 
 def _cp_path(node: PNode) -> str:
     """Node path for critical-path blame — only built when recording."""
-    if _cp.CURRENT is None:
+    p = _probe.CURRENT
+    if p is None or p.schedule is None:
         return ""
-    return "/".join(map(str, node.path)) or "root"
+    return _probe.node_label(node.path)
 
 
 def _serial_parts(cm: CostModel, sub: SearchStats) -> tuple[tuple[str, float], ...]:
@@ -1141,7 +1138,7 @@ def _charge_serial(
         charged += chunk
         if charged < cost:
             yield Acquire(ctx.tree_lock)
-            ctx._note(node, _trace.READ)
+            ctx._note(node, READ)
             moot = node.done or ctx.has_finished_ancestor(node) or ctx.is_cut_off(node)
             if moot:
                 ctx._bump("serial_aborts")
@@ -1176,7 +1173,7 @@ def _serial_evaluate(
     """Search the whole subtree under ``node`` with serial ER."""
     alpha, beta = window
     yield Acquire(ctx.tree_lock)
-    ctx._note(node, _trace.READ)
+    ctx._note(node, READ)
     moot = node.done  # finished concurrently
     if not moot:
         ctx._bump("serial_searches")
@@ -1243,7 +1240,7 @@ def _serial_refute_remaining(
         yield Acquire(ctx.tree_lock)
         ctx._bump("serial_searches")
         if survived:
-            ctx._note(node, _trace.WRITE)
+            ctx._note(node, WRITE)
             node.next_child = index + 1
         yield Release(ctx.tree_lock)
         if not survived:
@@ -1299,7 +1296,8 @@ def parallel_er(
     """
     if n_processors < 1:
         raise SearchError("need at least one processor")
-    bus = _obs.CURRENT
+    p = _probe.CURRENT
+    bus = p.bus if p is not None else None
     prev_clock = None
     if bus is not None:
         # Setup emits telemetry too (the root push lands in the heap
@@ -1307,7 +1305,7 @@ def parallel_er(
         # and task -1 so every setup event is deterministic rather than
         # stamped with a wall clock and an OS thread id.
         prev_clock = bus.use_clock(lambda: 0.0)
-        _obs.set_task(-1)
+        bus.task = -1
     try:
         ctx = _Context(
             problem, cost_model, config, trace, n_processors=n_processors,
@@ -1323,7 +1321,7 @@ def parallel_er(
     finally:
         if bus is not None:
             bus.use_clock(prev_clock)
-            _obs.set_task(None)
+            bus.task = None
     if not ctx.done:
         raise SimulationError("parallel ER finished without combining the root")
     merged = SearchStats.with_trace() if trace else SearchStats()

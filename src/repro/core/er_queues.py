@@ -13,32 +13,33 @@ Entries are never removed eagerly: nodes invalidated by cutoffs are
 discarded lazily when popped, matching a realistic lock-based
 implementation and keeping queue operations O(log n).
 
-Each queue carries a location ``name`` and reports every push/pop to
-:mod:`repro.verify.trace` when a recorder is installed, so the offline
-race detector can check that no queue is ever touched outside its lock.
-Push and pop also emit a depth sample to the telemetry bus
-(:mod:`repro.obs.events`) when one is installed — because every backend
-funnels through these queues, that one hook gives queue-depth and
-spec-heap-size traces for sim, threaded, and multiproc runs alike.
+Each queue carries a location ``name`` and reports every push and pop
+through one call on the instrumentation probe (:mod:`repro.obs.probe`),
+which hands it to each attached sink:
+
+* the race trace sees a write to the queue, so the offline race
+  detector can check that no queue is ever touched outside its lock;
+* the telemetry bus gets a depth sample — because every backend
+  funnels through these queues, that one call gives queue-depth and
+  spec-heap-size traces for sim, threaded, and multiproc runs alike;
+* on a pop, the critical-path recorder logs which queue handed out the
+  tree node — the heap hand-off side of the dependency record, so
+  critical-path blame rows can name the queue a path node travelled
+  through.
+
 ``__len__`` is reported as a *relaxed* read: the distributed-heap
 work-stealing pop deliberately peeks victim queue lengths without the
 lock (emptiness races are benign; the popper re-checks under the lock).
-
-With a :mod:`repro.obs.critpath` recorder installed, pops additionally
-log which queue handed out each tree node — the heap hand-off side of
-the dependency record, so critical-path blame rows can name the queue a
-path node travelled through.
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from ..obs import critpath as _cp
-from ..obs import events as _obs
-from ..verify import trace as _trace
+from ..obs import probe as _probe
+from ..verify.trace import READ, WRITE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .er_parallel import PNode
@@ -58,57 +59,54 @@ class SpecOrder(Enum):
     BEST_VALUE = "best-value"
 
 
-def _emit_depth(name: str, depth: int) -> None:
-    """Sample a queue's depth onto the telemetry bus, if one is listening."""
-    if _obs.CURRENT is not None:
-        _obs.CURRENT.emit(_obs.EV_QUEUE_DEPTH, queue=name, depth=depth)
+class _HeapQueue:
+    """What the two queues share: entries ``(key, seq, node)``, and pop."""
+
+    name: str
+    _heap: list[tuple[Any, int, "PNode"]]
+
+    def pop(self) -> Optional["PNode"]:
+        p = _probe.CURRENT
+        if not self._heap:
+            if p is not None:
+                p.access(self.name, WRITE)
+            return None
+        node = heapq.heappop(self._heap)[2]
+        if p is not None:
+            p.queue_pop(self.name, len(self._heap), node.path)
+        return node
+
+    def __len__(self) -> int:
+        p = _probe.CURRENT
+        if p is not None:
+            p.access(self.name, READ, relaxed=True)
+        return len(self._heap)
 
 
-def _note_pop(name: str, node: "PNode") -> None:
-    """Log a heap hand-off to the critical-path recorder, if installed."""
-    if _cp.CURRENT is not None:
-        _cp.CURRENT.on_pop(name, "/".join(map(str, node.path)) or "root")
-
-
-class PrimaryQueue:
+class PrimaryQueue(_HeapQueue):
     """Scheduled work, deepest node first."""
 
     def __init__(self, name: str = "heap.primary") -> None:
         self.name = name
-        self._heap: list[tuple[int, int, "PNode"]] = []
+        self._heap = []
         self._seq = 0
 
     def push(self, node: "PNode") -> None:
-        if _trace.CURRENT is not None:
-            _trace.on_access(self.name, _trace.WRITE)
         self._seq += 1
         heapq.heappush(self._heap, (-node.ply, self._seq, node))
-        _emit_depth(self.name, len(self._heap))
-
-    def pop(self) -> Optional["PNode"]:
-        if _trace.CURRENT is not None:
-            _trace.on_access(self.name, _trace.WRITE)
-        if not self._heap:
-            return None
-        node = heapq.heappop(self._heap)[2]
-        _emit_depth(self.name, len(self._heap))
-        _note_pop(self.name, node)
-        return node
-
-    def __len__(self) -> int:
-        if _trace.CURRENT is not None:
-            _trace.on_access(self.name, _trace.READ, relaxed=True)
-        return len(self._heap)
+        p = _probe.CURRENT
+        if p is not None:
+            p.queue_push(self.name, len(self._heap))
 
 
-class SpeculativeQueue:
+class SpeculativeQueue(_HeapQueue):
     """Potential speculative work (e-nodes awaiting extra e-children)."""
 
     def __init__(
         self, order: SpecOrder = SpecOrder.PAPER, name: str = "heap.speculative"
     ) -> None:
         self.name = name
-        self._heap: list[tuple[tuple[float, ...], int, "PNode"]] = []
+        self._heap = []
         self._seq = 0
         self._order = order
 
@@ -123,23 +121,8 @@ class SpeculativeQueue:
         return (node.value,)
 
     def push(self, node: "PNode") -> None:
-        if _trace.CURRENT is not None:
-            _trace.on_access(self.name, _trace.WRITE)
         self._seq += 1
         heapq.heappush(self._heap, (self._key(node), self._seq, node))
-        _emit_depth(self.name, len(self._heap))
-
-    def pop(self) -> Optional["PNode"]:
-        if _trace.CURRENT is not None:
-            _trace.on_access(self.name, _trace.WRITE)
-        if not self._heap:
-            return None
-        node = heapq.heappop(self._heap)[2]
-        _emit_depth(self.name, len(self._heap))
-        _note_pop(self.name, node)
-        return node
-
-    def __len__(self) -> int:
-        if _trace.CURRENT is not None:
-            _trace.on_access(self.name, _trace.READ, relaxed=True)
-        return len(self._heap)
+        p = _probe.CURRENT
+        if p is not None:
+            p.queue_push(self.name, len(self._heap))

@@ -24,6 +24,7 @@ from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .errors import SearchError
 from .games.base import Game, Position, RootedGame, SearchProblem
 from .obs import events as _obs
+from .obs import probe as _probe
 from .search.alphabeta import alphabeta
 from .search.stats import SearchStats
 
@@ -193,8 +194,9 @@ class GameEngine:
             best_value = values[best_index]
             if cfg.budget is not None and spent >= cfg.budget:
                 break
-        if _obs.CURRENT is not None:
-            _obs.CURRENT.emit(
+        p = _probe.CURRENT
+        if p is not None:
+            p.emit(
                 _obs.EV_ENGINE_CHOICE,
                 task=-1,
                 move_index=best_index,

@@ -24,6 +24,7 @@ from ..cache.striped import static_entry
 from ..costmodel import CostModel
 from ..games.base import Game, Position, batch_eval, hash_key
 from ..obs import events as _obs
+from ..obs import probe as _probe
 from ..search.stats import SearchStats
 from ..search.transposition import TTView
 
@@ -96,8 +97,9 @@ class Evaluator:
         if miss_rows:
             missed = batch_eval(self.game, [positions[row] for row in miss_rows])
             batch_cost = stats.on_batch_eval(len(miss_rows), self.cost_model)
-            if _obs.CURRENT is not None:
-                _obs.CURRENT.emit(_obs.EV_EVAL_BATCH, n=len(miss_rows))
+            p = _probe.CURRENT
+            if p is not None:
+                p.emit(_obs.EV_EVAL_BATCH, n=len(miss_rows))
             for row, value in zip(miss_rows, missed):
                 values[row] = value
                 if self.cache is not None:

@@ -59,9 +59,10 @@ class Game(Protocol):
 def hash_key(game: Game, position: Position) -> int:
     """64-bit transposition key for ``position`` — the cache seam.
 
-    Games that define a ``hash_key`` method supply their own keys
-    (Zobrist tables with incremental update for Othello and Connect
-    Four, counter-based path hashing for the synthetic trees); any other
+    Games that define a ``hash_key`` method supply their own keys (a
+    full Zobrist rehash of the board for Othello and Connect Four,
+    SplitMix64 fold state carried from the parent for the synthetic
+    trees); any other
     game falls back to mixing Python's structural hash through
     SplitMix64.  The fallback is deterministic across worker *processes*
     only for positions built from integers — every game in this package

@@ -209,20 +209,6 @@ class ConnectFour:
             key ^= self._side
         return key
 
-    def hash_after_move(self, position: C4Position, column: int, key: int) -> int:
-        """Key of the child reached by dropping a stone in ``column``.
-
-        Incremental update: XOR in the placed stone's (cell, player) key
-        and toggle the side key.  Re-applying the same delta undoes it.
-        """
-        stride = self._column_stride
-        if (position.mask >> (column * stride)) & (1 << (self.height - 1)):
-            raise IllegalMoveError(f"column {column} is full")
-        new_mask = position.mask | (position.mask + (1 << (column * stride)))
-        placed = new_mask ^ position.mask
-        key ^= self._zobrist[placed.bit_length() - 1][position.moves_made % 2]
-        return key ^ self._side
-
     def _threat_count(self, board: int, mask: int) -> int:
         """Number of open three-in-a-rows — a simple positional heuristic."""
         stride = self._column_stride

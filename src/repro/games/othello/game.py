@@ -117,27 +117,6 @@ class Othello:
         return key
 
     @staticmethod
-    def hash_after_move(position: OthelloPosition, move: int, key: int) -> int:
-        """Key of the child reached by playing ``move`` (a one-bit board).
-
-        Incremental update: place the mover's disc, flip each captured
-        disc's owner, toggle side to move.  XOR is involutive, so
-        re-applying the identical delta undoes the move.
-        """
-        flips = B.flips_for_move(position.own, position.opp, move)
-        mover, other = position.color, 1 - position.color
-        key ^= _ZOBRIST[move.bit_length() - 1][mover]
-        for square in B.bits(flips):
-            row = _ZOBRIST[square.bit_length() - 1]
-            key ^= row[other] ^ row[mover]
-        return key ^ _SIDE
-
-    @staticmethod
-    def hash_after_pass(key: int) -> int:
-        """Key after a forced pass: only the side to move changes."""
-        return key ^ _SIDE
-
-    @staticmethod
     def render(position: OthelloPosition) -> str:
         return B.render(position.black, position.white, position.color == BLACK)
 

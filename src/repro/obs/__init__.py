@@ -1,12 +1,24 @@
 """Unified telemetry for the ER backends (sim, threaded, multiproc).
 
-Four layers, lowest first:
+Everything starts at one instrumentation hook.  :mod:`repro.obs.probe`
+holds one nullable global, ``probe.CURRENT``; every instrumented site in
+the engine, the queues, the caches, the drivers and the service loads it
+once and makes at most one call on it, and the probe fans that call out
+to whichever of its four sinks are attached:
 
-* :mod:`repro.obs.events` — the structured event bus (queue depths,
-  node lifecycle, classification flips, task flow) that the execution
-  substrates feed when a bus is installed;
+* the race detector's trace recorder (:mod:`repro.verify.trace`);
+* the structured event bus (:mod:`repro.obs.events`: queue depths, node
+  lifecycle, classification flips, task flow, cache traffic), with its
+  live registry feed;
+* the critical-path schedule recorder (:mod:`repro.obs.critpath`);
+* this process's span ring (:mod:`repro.obs.live`).
+
+New telemetry is a new sink on that probe, not a new hook.  On top of
+the sinks sit the layers that read what they collected:
+
 * :mod:`repro.obs.registry` — counters / gauges / histograms /
-  time-series plus the op/event coverage maps VER005 enforces;
+  time-series; op and event metric names are declared with the ops
+  (:mod:`repro.sim.ops`) and event types (``events.EVENT_TYPES``);
 * :mod:`repro.obs.snapshot` — the one comparable record of a run: a
   per-processor busy / starvation / interference / speculative / tail
   breakdown with the protocol counters and work stats attached;
@@ -24,10 +36,10 @@ Four layers, lowest first:
   ``repro-gametree top``) and the Prometheus text exporter + HTTP
   endpoint for the metrics registry.
 
-Only the first two are imported at package load: the engine and queue
-modules import this package from the bottom of the dependency graph, so
-the heavier layers (which import the backends) must be pulled in
-explicitly (``from repro.obs import snapshot``).
+Only the bus and the registry are imported at package load: the engine
+and queue modules import this package from the bottom of the dependency
+graph, so the heavier layers (which import the backends) must be pulled
+in explicitly (``from repro.obs import snapshot``).
 """
 
 from __future__ import annotations
@@ -44,11 +56,12 @@ from .events import (
     EV_QUEUE_DEPTH,
     EV_TASK_RESULT,
     EV_TASK_SUBMIT,
+    EVENT_TYPES,
     EventBus,
     ObsEvent,
     observing,
 )
-from .registry import EVENT_METRICS, OP_METRICS, MetricsRegistry, aggregate
+from .registry import MetricsRegistry, aggregate
 
 __all__ = [
     "ALL_EVENT_TYPES",
@@ -62,8 +75,7 @@ __all__ = [
     "EV_QUEUE_DEPTH",
     "EV_TASK_RESULT",
     "EV_TASK_SUBMIT",
-    "EVENT_METRICS",
-    "OP_METRICS",
+    "EVENT_TYPES",
     "EventBus",
     "MetricsRegistry",
     "ObsEvent",

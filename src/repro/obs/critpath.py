@@ -5,7 +5,7 @@ one interval per processor — busy (a ``Compute``), interference (a lock
 wait), or starvation (a work wait) — and the telemetry invariants pin
 the tiling: ``accounted == finish_time`` and ``accounted + tail_idle ==
 makespan`` per processor (see :mod:`repro.sim.metrics`).  A
-:class:`ScheduleRecorder` installed during a run captures those
+:class:`ScheduleRecorder` attached during a run captures those
 intervals *with their dependency edges*:
 
 * program order: on one processor, each interval starts where the
@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from ..errors import SimulationError
 from . import events as _events
@@ -47,17 +47,6 @@ from . import events as _events
 BUSY = "busy"
 LOCK_WAIT = "lock"
 STARVE = "starve"
-
-#: How each charged op kind from ``repro.sim.ops`` shows up in critical-
-#: path attribution.  The VER006 staticcheck rule requires every Op
-#: subclass to appear here (and every entry to name a real loss class),
-#: so a new op kind cannot silently escape the profiler.
-OP_ATTRIBUTION: dict[str, str] = {
-    "Compute": "busy",
-    "Acquire": "interference",
-    "Release": "interference",
-    "WaitWork": "starvation",
-}
 
 #: Fractional cost decomposition attached to mixed charges:
 #: ``(("static_eval", 40.0), ("expansion", 10.0))`` — raw weights,
@@ -96,9 +85,10 @@ class Interval:
 class ScheduleRecorder:
     """Collects the dependency-annotated schedule of one sim run.
 
-    Install via :func:`recording`; the engine and the ER queues feed it
-    through the module-global ``CURRENT`` hook (the same idiom as
-    :mod:`repro.verify.trace` and :mod:`repro.obs.events`).
+    Attach via :func:`recording`; the engine and the ER queues feed it
+    as the ``schedule`` sink of the one instrumentation probe
+    (:mod:`repro.obs.probe`), beside the race trace, the event bus and
+    the span ring.
     """
 
     def __init__(self) -> None:
@@ -135,31 +125,21 @@ class ScheduleRecorder:
         self.node_queue[node] = queue
 
 
-#: Module-global recorder hook, engine-facing.
-CURRENT: Optional[ScheduleRecorder] = None
-
-
-def install(recorder: ScheduleRecorder) -> None:
-    global CURRENT
-    if CURRENT is not None:
-        raise SimulationError("a schedule recorder is already installed")
-    CURRENT = recorder
-
-
-def uninstall() -> None:
-    global CURRENT
-    CURRENT = None
-
-
 @contextmanager
 def recording() -> Iterator[ScheduleRecorder]:
-    """Install a fresh :class:`ScheduleRecorder` for the enclosed run."""
-    recorder = ScheduleRecorder()
-    install(recorder)
-    try:
+    """Attach a fresh :class:`ScheduleRecorder` for the enclosed run.
+
+    Raises:
+        SimulationError: if a recorder is already attached; one schedule
+            has one recorder.
+    """
+    from . import probe
+
+    current = probe.CURRENT
+    if current is not None and current.schedule is not None:
+        raise SimulationError("a schedule recorder is already installed")
+    with probe.attached("schedule", ScheduleRecorder()) as recorder:
         yield recorder
-    finally:
-        uninstall()
 
 
 @dataclass(frozen=True)

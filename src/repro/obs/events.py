@@ -1,14 +1,18 @@
 """Structured telemetry event bus shared by all three ER backends.
 
 :mod:`repro.verify.trace` records *synchronization* events for the race
-detector; this module records *semantic* telemetry on top of it: queue
-depths, speculative-heap size, node lifecycle transitions,
-e/r-classification flips, multiproc task flow, and engine move choices.
-The two buses are deliberately separate — the race detector needs a
-minimal, lockset-friendly vocabulary, while telemetry wants rich payloads
-and timestamps — but they share the install/uninstall idiom: with no bus
-installed every hook is one module-global ``is None`` test, so the
-instrumentation is free on the hot path.
+detector; this module records *semantic* telemetry: queue depths,
+speculative-heap size, node lifecycle transitions, e/r-classification
+flips, multiproc task flow, cache traffic, and engine move choices.
+Both are sinks on the one instrumentation probe (:mod:`repro.obs.probe`),
+beside the critical-path recorder and the span ring: every instrumented
+site makes one probe call, and the probe hands each sink its own stream.
+The race trace keeps a minimal, lockset-friendly vocabulary; the bus
+carries rich payloads and timestamps.  With no sink attached a site
+costs one module-global ``is None`` test.
+
+Every event type is declared once, in :data:`EVENT_TYPES` with the
+registry metric it feeds, and :meth:`EventBus.emit` rejects any other.
 
 Timestamps come from the bus *clock*.  The discrete-event engine installs
 its simulated clock for the duration of a run (one simulated unit per
@@ -18,9 +22,10 @@ default wall clock (``time.perf_counter``) in place.  Exporters
 microseconds.
 
 Task attribution mirrors :mod:`repro.verify.trace`: the simulator sets
-the current task id explicitly before resuming each worker; the threaded
-backend falls back to ``threading.get_ident()``.  ``list.append`` is
-atomic under the GIL, so threads may share one bus.
+the current task id explicitly before resuming each worker
+(:func:`repro.obs.probe.set_task`); the threaded backend falls back to
+``threading.get_ident()``.  ``list.append`` is atomic under the GIL, so
+threads may share one bus.
 """
 
 from __future__ import annotations
@@ -76,26 +81,31 @@ EV_EVAL_CONTENTION = "eval-contention"
 #: `node`) — never emitted live.
 EV_CRIT_SEGMENT = "crit-segment"
 
-#: Every event type the bus may carry, in documentation order.
-ALL_EVENT_TYPES: tuple[str, ...] = (
-    EV_QUEUE_DEPTH,
-    EV_NODE_CREATED,
-    EV_NODE_POPPED,
-    EV_NODE_DONE,
-    EV_CLASS_FLIP,
-    EV_TASK_SUBMIT,
-    EV_TASK_RESULT,
-    EV_ENGINE_CHOICE,
-    EV_PROC_INTERVAL,
-    EV_TT_PROBE,
-    EV_TT_STORE,
-    EV_TT_CONTENTION,
-    EV_EVAL_PROBE,
-    EV_EVAL_STORE,
-    EV_EVAL_BATCH,
-    EV_EVAL_CONTENTION,
-    EV_CRIT_SEGMENT,
-)
+#: Every event type the bus may carry, in documentation order, with the
+#: registry metric it feeds (a counter, plus a time series for sampled
+#: quantities; see :func:`repro.obs.registry.feed_event`).
+EVENT_TYPES: Mapping[str, str] = {
+    EV_QUEUE_DEPTH: "queue.depth",
+    EV_NODE_CREATED: "nodes.created",
+    EV_NODE_POPPED: "nodes.popped",
+    EV_NODE_DONE: "nodes.done",
+    EV_CLASS_FLIP: "nodes.class_flips",
+    EV_TASK_SUBMIT: "tasks.submitted",
+    EV_TASK_RESULT: "tasks.completed",
+    EV_ENGINE_CHOICE: "engine.choices",
+    EV_PROC_INTERVAL: "proc.intervals",
+    EV_TT_PROBE: "tt.probes",
+    EV_TT_STORE: "tt.stores",
+    EV_TT_CONTENTION: "tt.contention",
+    EV_EVAL_PROBE: "eval.probes",
+    EV_EVAL_STORE: "eval.stores",
+    EV_EVAL_BATCH: "eval.batches",
+    EV_EVAL_CONTENTION: "eval.contention",
+    EV_CRIT_SEGMENT: "critpath.segments",
+}
+
+#: The event types alone, in documentation order.
+ALL_EVENT_TYPES: tuple[str, ...] = tuple(EVENT_TYPES)
 
 
 @dataclass(frozen=True)
@@ -119,13 +129,12 @@ class ObsEvent:
 
 
 class EventBus:
-    """Accumulates events; install with :func:`observing` or :func:`install`."""
+    """Accumulates events; attach with :func:`observing`."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.events: list[ObsEvent] = []
-        #: Per-op-kind counts fed by the simulator's dispatch loop
-        #: (:meth:`count_op`); folded into a registry by
-        #: :func:`repro.obs.registry.aggregate`.
+        #: Simulator op dispatches per op metric (:meth:`count_op`);
+        #: folded into a registry by :func:`repro.obs.registry.aggregate`.
         self.op_counts: dict[str, int] = {}
         #: Explicit task id (simulated worker); ``None`` = use thread id.
         self.task: Optional[int] = None
@@ -164,49 +173,35 @@ class EventBus:
         self._live_sink = sink
 
     def emit(self, etype: str, task: Optional[int] = None, **data: object) -> None:
-        """Record one event stamped with the bus clock."""
+        """Record one event stamped with the bus clock.
+
+        Raises:
+            ValueError: if ``etype`` is not in :data:`EVENT_TYPES`.
+        """
+        if etype not in EVENT_TYPES:
+            raise ValueError(f"unknown event type {etype!r}")
         event = ObsEvent(etype, self._clock(), task if task is not None else self.task_id(), data)
         self.events.append(event)
         if self._live_sink is not None:
             self._live_sink(event)
 
-    def count_op(self, kind: str) -> None:
-        """Tally one simulator op dispatch (``Compute``, ``Acquire``, ...)."""
-        self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
-
-
-#: The active bus; ``None`` disables all telemetry.  Read directly by the
-#: instrumented modules (``events.CURRENT is not None``) so the disabled
-#: path costs one global load.
-CURRENT: Optional[EventBus] = None
-
-
-def install(bus: EventBus) -> None:
-    global CURRENT
-    CURRENT = bus
-
-
-def uninstall() -> None:
-    global CURRENT
-    CURRENT = None
+    def count_op(self, metric: str) -> None:
+        """Tally one simulator op dispatch under the op's declared metric
+        (``sim.ops.compute``, ...; see :mod:`repro.sim.ops`)."""
+        self.op_counts[metric] = self.op_counts.get(metric, 0) + 1
 
 
 @contextmanager
 def observing(clock: Optional[Callable[[], float]] = None) -> Iterator[EventBus]:
     """Collect telemetry for everything run within the block.
 
+    Attaches a fresh bus as the probe's ``bus`` sink; leaving the block
+    restores whatever bus was attached before.
+
     Yields:
         The bus; read ``bus.events`` / ``bus.op_counts`` after the block.
     """
-    bus = EventBus(clock)
-    install(bus)
-    try:
+    from . import probe
+
+    with probe.attached("bus", EventBus(clock)) as bus:
         yield bus
-    finally:
-        uninstall()
-
-
-def set_task(task: Optional[int]) -> None:
-    """Attribute subsequent events to ``task`` (simulator use)."""
-    if CURRENT is not None:
-        CURRENT.task = task

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import events as _events
+from . import probe as _probe
 from . import registry as _registry
 
 __all__ = [
@@ -65,7 +66,6 @@ __all__ = [
     "LiveFeed",
     "OffsetEstimator",
     "COORDINATOR",
-    "RING",
     "TAG_SEPARATOR",
     "install_ring",
     "uninstall_ring",
@@ -294,25 +294,24 @@ def ring_for_mode(
     return SpanRing(capacity, stride=stride, clock=clock)
 
 
-#: The process's active span ring; ``None`` disables span recording.
-#: Instrumented modules (:mod:`repro.cache.sharedmem`) read this
-#: directly — the disabled path is one module-global load, mirroring
-#: :data:`repro.obs.events.CURRENT`.  Worker processes install theirs in
-#: the pool initializer; the multiproc coordinator installs its own for
-#: the duration of a run.
-RING: Optional[SpanRing] = None
-
-
 def install_ring(mode: str, *, capacity: int = DEFAULT_RING_CAPACITY) -> Optional[SpanRing]:
-    """Install (and return) this process's span ring for ``mode``."""
-    global RING
-    RING = ring_for_mode(mode, capacity=capacity)
-    return RING
+    """Attach (and return) this process's span ring for ``mode``.
+
+    The ring is the ``ring`` sink of the one instrumentation probe
+    (:mod:`repro.obs.probe`); span sites (the shared-cache probe/store,
+    the multiproc task loop) read it from there, so with no sink
+    attached they pay one module-global load.  Worker processes attach
+    theirs in the pool initializer; the multiproc coordinator attaches
+    its own for the duration of a run.  ``off`` detaches.
+    """
+    ring = ring_for_mode(mode, capacity=capacity)
+    _probe.attach("ring", ring)
+    return ring
 
 
 def uninstall_ring() -> None:
-    global RING
-    RING = None
+    """Detach this process's span ring."""
+    _probe.attach("ring", None)
 
 
 # ---------------------------------------------------------------------------

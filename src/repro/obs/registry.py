@@ -7,17 +7,17 @@ ad-hoc counter dicts.  :func:`aggregate` folds an event bus into a
 registry; :mod:`repro.obs.snapshot` then freezes registry + per-backend
 reports into one comparable :class:`~repro.obs.snapshot.Snapshot`.
 
-The coverage maps at the bottom are load-bearing: VER005 in
-:mod:`repro.verify.staticcheck` asserts that every simulator op kind and
-every bus event type appears in them, so no op or event can be added
-without deciding how it is accounted.
+Metric names are declared where their sources are: each simulator op
+class names its counter (:mod:`repro.sim.ops`), and each bus event type
+its metric (:data:`repro.obs.events.EVENT_TYPES`), so no op or event can
+exist without deciding how it is accounted.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union, overload
+from typing import Iterator, Sequence, Union, overload
 
 from . import events
 
@@ -210,43 +210,6 @@ class MetricsRegistry:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Coverage maps (enforced by VER005).
-# ---------------------------------------------------------------------------
-
-#: How each simulator op kind is accounted.  Keys are the class names in
-#: :mod:`repro.sim.ops`; values are registry counter names.
-OP_METRICS: Mapping[str, str] = {
-    "Compute": "sim.ops.compute",
-    "Acquire": "sim.ops.acquire",
-    "Release": "sim.ops.release",
-    "WaitWork": "sim.ops.wait_work",
-}
-
-#: How each bus event type is accounted.  Keys are the ``EV_*`` constants
-#: of :mod:`repro.obs.events`; values are registry metric names (counter,
-#: plus a time series for sampled quantities).
-EVENT_METRICS: Mapping[str, str] = {
-    events.EV_QUEUE_DEPTH: "queue.depth",
-    events.EV_NODE_CREATED: "nodes.created",
-    events.EV_NODE_POPPED: "nodes.popped",
-    events.EV_NODE_DONE: "nodes.done",
-    events.EV_CLASS_FLIP: "nodes.class_flips",
-    events.EV_TASK_SUBMIT: "tasks.submitted",
-    events.EV_TASK_RESULT: "tasks.completed",
-    events.EV_ENGINE_CHOICE: "engine.choices",
-    events.EV_PROC_INTERVAL: "proc.intervals",
-    events.EV_TT_PROBE: "tt.probes",
-    events.EV_TT_STORE: "tt.stores",
-    events.EV_TT_CONTENTION: "tt.contention",
-    events.EV_EVAL_PROBE: "eval.probes",
-    events.EV_EVAL_STORE: "eval.stores",
-    events.EV_EVAL_BATCH: "eval.batches",
-    events.EV_EVAL_CONTENTION: "eval.contention",
-    events.EV_CRIT_SEGMENT: "critpath.segments",
-}
-
-
 def feed_event(registry: MetricsRegistry, event: events.ObsEvent) -> None:
     """Fold one event into a registry.
 
@@ -254,15 +217,14 @@ def feed_event(registry: MetricsRegistry, event: events.ObsEvent) -> None:
     :func:`aggregate` and the live incremental feed
     (:class:`repro.obs.live.LiveFeed`) both call it, so a metric visible
     mid-run via ``repro-gametree top`` is byte-for-byte the metric the
-    snapshot and ledger see after the run (VER009 enforces that
-    ``aggregate`` routes through here).
+    snapshot and ledger see after the run.
 
     Every event bumps its mapped counter; queue-depth events additionally
     feed one time series per queue (so snapshots can report peak depth),
     and task results feed a duration histogram plus per-worker
     busy-applied / busy-wasted second counters.
     """
-    metric = EVENT_METRICS.get(event.etype, f"events.{event.etype}")
+    metric = events.EVENT_TYPES[event.etype]
     registry.counter(metric).inc()
     if event.etype == events.EV_QUEUE_DEPTH:
         queue = str(event.data.get("queue", "unknown"))
@@ -302,9 +264,8 @@ def aggregate(bus: events.EventBus) -> MetricsRegistry:
     exist post-hoc on the bus.
     """
     registry = MetricsRegistry()
-    for kind, count in sorted(bus.op_counts.items()):
-        name = OP_METRICS.get(kind, f"sim.ops.{kind.lower()}")
-        registry.counter(name).inc(count)
+    for metric, count in sorted(bus.op_counts.items()):
+        registry.counter(metric).inc(count)
     for event in bus.events:
         feed_event(registry, event)
     return registry

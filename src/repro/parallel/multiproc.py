@@ -106,6 +106,7 @@ from ..games.base import (
 )
 from ..obs import events as _obs
 from ..obs import live as _live
+from ..obs import probe as _probe
 from ..search.stats import SearchStats
 from ..search.transposition import Bound, TranspositionTable, TTEntry, TTView, usable_value
 from .channel import IN_FLIGHT_PER_WORKER, TaskChannel
@@ -216,10 +217,10 @@ def _init_worker(
     across tasks, so private caches accumulate over every subtree
     search the same worker happens to receive.
 
-    ``trace_mode`` installs this process's span ring
-    (:data:`repro.obs.live.RING`), which the shared-cache probe/store
-    hooks and :func:`_run_task` record into; its contents ship back on
-    the result channel.
+    ``trace_mode`` attaches this process's span ring to the
+    instrumentation probe (:func:`repro.obs.live.install_ring`); the
+    shared-cache probe/store and :func:`_run_task` record into it, and
+    its contents ship back on the result channel.
     """
     global _WORKER_TT, _WORKER_EVAL_CACHE, _WORKER_BATCH_EVAL
     _live.install_ring(trace_mode)
@@ -256,7 +257,8 @@ TaskOutcome = tuple[str, float, _PackedStats, float, float, int, int, Optional[_
 
 
 def _drain_worker_ring() -> Optional[_TraceBlob]:
-    ring = _live.RING
+    p = _probe.CURRENT
+    ring = p.ring if p is not None else None
     if ring is None:
         return None
     spans = tuple(ring.drain())
@@ -319,7 +321,8 @@ def _run_task(payload: tuple[Any, ...]) -> TaskOutcome:
                 stats.on_cutoff()
                 break
     t_end = time.perf_counter()
-    ring = _live.RING
+    p = _probe.CURRENT
+    ring = p.ring if p is not None else None
     if ring is not None:
         name = kind if tag is None else _live.tag_span_name(kind, tag)
         ring.record("task", name, t_start, t_end)
@@ -1033,9 +1036,7 @@ class Coordinator:
                 deadlock (empty heap with nothing in flight).
         """
         ctx = self.ctx
-        prev_ring = _live.RING
-        _live.RING = self.ring
-        try:
+        with _probe.attached("ring", self.ring):
             while not ctx.done:
                 self.drain(block=False)
                 if ctx.done:
@@ -1057,8 +1058,6 @@ class Coordinator:
                     ctx.publish(pushes)
                 else:
                     self._primary(node)
-        finally:
-            _live.RING = prev_ring
         self.wall_time = time.perf_counter() - self._start
         self._tick()
         self.counters["tasks_orphaned"] = len(self.pending)

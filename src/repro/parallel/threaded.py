@@ -24,7 +24,8 @@ Two verification features mirror the simulator's (DESIGN.md
   raises :class:`~repro.errors.LockOrderError` *before* taking a lock
   that inverts an observed order — failing fast beats deadlocking a test
   run;
-* with a :mod:`repro.verify.trace` recorder installed, the driver emits
+* with a :mod:`repro.verify.trace` recorder attached to the
+  instrumentation probe, the driver emits
   acquire/release events attributed to the OS thread id — ``ACQUIRE``
   after the real acquire and ``RELEASE`` before the real release, so the
   recorded critical sections nest properly in the linearized event list
@@ -50,10 +51,10 @@ from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..errors import LockOrderError, SearchError, SimulationError
 from ..games.base import SearchProblem
 from ..obs import live as _live
+from ..obs import probe as _probe
 from ..search.stats import SearchStats
 from ..sim.locks import LockOrderGraph, SimLock
 from ..sim.ops import Acquire, Compute, Op, Release, WaitWork
-from ..verify import trace as _trace
 
 #: Upper bound on a single WaitWork nap; keeps lost wakeups harmless.
 _WAIT_SLICE_SECONDS = 0.002
@@ -140,8 +141,9 @@ class _ThreadedDriver:
         if ring is not None:
             self.rings[wid] = ring
         t_start = time.perf_counter()
-        if _trace.CURRENT is not None:
-            _trace.on_wake("task-init")
+        p = _probe.CURRENT
+        if p is not None:
+            p.wake("task-init")
         try:
             for op in worker:
                 if isinstance(op, Compute):
@@ -155,12 +157,14 @@ class _ThreadedDriver:
                     if ring is not None:
                         ring.record("lock", op.lock.name, t0, t1)
                     held.append(op.lock.name)
-                    if _trace.CURRENT is not None:
-                        _trace.on_acquire(op.lock.name)
+                    p = _probe.CURRENT
+                    if p is not None:
+                        p.acquire(op.lock.name)
                 elif isinstance(op, Release):
                     lock = self._real_lock(op.lock)
-                    if _trace.CURRENT is not None:
-                        _trace.on_release(op.lock.name)
+                    p = _probe.CURRENT
+                    if p is not None:
+                        p.release(op.lock.name)
                     held.remove(op.lock.name)
                     lock.release()
                     # Work may have been published: give sleepers a poke.
@@ -253,11 +257,12 @@ def threaded_er_observed(
         )
     driver = _ThreadedDriver(ctx, timeout, trace)
     stats = [SearchStats() for _ in range(n_threads)]
-    if _trace.CURRENT is not None:
+    p = _probe.CURRENT
+    if p is not None:
         # Happens-before edge from the setup above (root pushed, queues
         # built) to every worker's first step; each drive() emits the
         # matching wake.
-        _trace.on_notify("task-init", 0)
+        p.notify("task-init", 0)
     threads = [
         threading.Thread(
             target=driver.drive,

@@ -29,8 +29,8 @@ iteration hands it to the engine unchanged.
 
 The scheduler itself is single-threaded asyncio; the one genuinely
 cross-thread surface is :class:`ServeMetrics`, which the Prometheus
-scrape thread reads while the event loop writes.  Its lock and accesses
-are instrumented with the :mod:`repro.verify.trace` hooks, so the
+scrape thread reads while the event loop writes.  Its critical sections
+are reported to the race trace through the instrumentation probe, so the
 service test batteries run under the same race detector that checks the
 simulator's queues.
 """
@@ -47,7 +47,8 @@ from typing import Any, Awaitable, Callable, Optional, Protocol
 from ..errors import ServeError
 from ..obs import registry as _registry
 from ..obs import reqtrace as _reqtrace
-from ..verify import trace as _trace
+from ..obs import probe as _probe
+from ..verify.trace import READ, WRITE
 from .api import (
     PRIORITIES,
     STATUS_ERROR,
@@ -120,10 +121,10 @@ class ServeMetrics:
     """Thread-safe service metrics: loop-thread writers, scrape-thread readers.
 
     A thin lock around a :class:`~repro.obs.registry.MetricsRegistry`,
-    with every acquisition and access reported to the
-    :mod:`repro.verify.trace` hooks under stable names
-    (``serve-metrics`` lock, ``serve.<metric>`` locations) so the race
-    detector can verify the locking discipline end to end.
+    with every critical section reported to the race trace through the
+    instrumentation probe under stable names (``serve-metrics`` lock,
+    ``serve.<metric>`` locations) so the race detector can verify the
+    locking discipline end to end.
     """
 
     def __init__(
@@ -138,29 +139,22 @@ class ServeMetrics:
         self._slo_good: dict[int, int] = {}
         self._slo_bad: dict[int, int] = {}
 
-    def _acquired(self) -> None:
-        if _trace.CURRENT is not None:
-            _trace.on_acquire("serve-metrics")
-
-    def _releasing(self) -> None:
-        if _trace.CURRENT is not None:
-            _trace.on_release("serve-metrics")
+    @staticmethod
+    def _section(location: str, kind: str = WRITE) -> None:
+        """Report one critical section (call it with the lock held)."""
+        p = _probe.CURRENT
+        if p is not None:
+            p.locked_access("serve-metrics", location, kind)
 
     def bump(self, name: str, amount: float = 1.0) -> None:
         with self._lock:
-            self._acquired()
-            if _trace.CURRENT is not None:
-                _trace.on_access(f"serve.{name}", _trace.WRITE)
+            self._section(f"serve.{name}")
             self.registry.counter(f"serve.{name}").inc(amount)
-            self._releasing()
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
-            self._acquired()
-            if _trace.CURRENT is not None:
-                _trace.on_access(f"serve.{name}", _trace.WRITE)
+            self._section(f"serve.{name}")
             self.registry.histogram(f"serve.{name}").observe(value)
-            self._releasing()
 
     def observe_latency(self, priority: int, latency_s: float) -> None:
         """Fold one request's latency into the per-priority SLO machinery.
@@ -173,10 +167,8 @@ class ServeMetrics:
         as fast as the objective allows).
         """
         with self._lock:
-            self._acquired()
             name = f"latency_seconds.p{priority}"
-            if _trace.CURRENT is not None:
-                _trace.on_access(f"serve.{name}", _trace.WRITE)
+            self._section(f"serve.{name}")
             self.registry.histogram(
                 f"serve.{name}", bounds=SLO_LATENCY_BOUNDS
             ).observe(latency_s)
@@ -197,27 +189,19 @@ class ServeMetrics:
                 self.registry.gauge(f"serve.slo.p{priority}.burn_rate").set(
                     self.slo.burn_rate(good, bad)
                 )
-            self._releasing()
 
     def sample(self, name: str, ts: float, value: float) -> None:
         """Record an instantaneous quantity as gauge + time series."""
         with self._lock:
-            self._acquired()
-            if _trace.CURRENT is not None:
-                _trace.on_access(f"serve.{name}", _trace.WRITE)
+            self._section(f"serve.{name}")
             self.registry.gauge(f"serve.{name}.current").set(value)
             self.registry.timeseries(f"serve.{name}").sample(ts, value)
-            self._releasing()
 
     def collect(self) -> dict[str, _registry.MetricValue]:
         """Consistent snapshot for the Prometheus endpoint."""
         with self._lock:
-            self._acquired()
-            if _trace.CURRENT is not None:
-                _trace.on_access("serve.registry", _trace.READ)
-            out = self.registry.collect()
-            self._releasing()
-            return out
+            self._section("serve.registry", READ)
+            return self.registry.collect()
 
 
 @dataclass

@@ -10,13 +10,13 @@ time is split into interference (lock waits) and starvation (work waits).
 The engine also polices the synchronization protocol as it runs: it
 tracks each processor's held locks, aborts with
 :class:`~repro.errors.LockOrderError` on the first acquisition-order
-inversion (see :class:`~repro.sim.locks.LockOrderGraph`), and — when a
-:mod:`repro.verify.trace` recorder is installed — emits the
-acquire/release/wait/wake event stream the offline race detector
-consumes.  With a :mod:`repro.obs.critpath` recorder installed it also
-captures every charged interval together with its dependency edge
-(program order, lock grant, work wake-up), which is exactly the DAG the
-critical-path walker needs.
+inversion (see :class:`~repro.sim.locks.LockOrderGraph`), and reports
+what it does through the instrumentation probe (:mod:`repro.obs.probe`):
+the acquire/release/wait/wake event stream the offline race detector
+consumes, one dispatch tally per op for the telemetry bus, and every
+charged interval together with its dependency edge (program order, lock
+grant, work wake-up), which is exactly the DAG the critical-path walker
+needs.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Generator, Iterable
 
 from ..errors import DeadlockError, LockOrderError, SimulationError, WorkerProtocolError
 from ..obs import critpath as _cp
-from ..obs import events as _obs
-from ..verify import trace as _trace
+from ..obs import probe as _probe
 from .locks import LockOrderGraph, SimLock, WorkSignal
 from .metrics import ProcessorMetrics, SimReport
 from .ops import Acquire, Compute, Op, Release, WaitWork
@@ -70,9 +69,10 @@ class Engine:
         self._procs = [_Proc(worker=w) for w in workers]
         if not self._procs:
             raise SimulationError("engine needs at least one worker")
-        # An installed telemetry bus implies timelines: the Perfetto
+        # An attached telemetry bus implies timelines: the Perfetto
         # exporter renders them as the per-processor schedule tracks.
-        if record_timeline or _obs.CURRENT is not None:
+        p = _probe.CURRENT
+        if record_timeline or (p is not None and p.bus is not None):
             for proc in self._procs:
                 proc.metrics.timeline = []
         self._max_events = max_events
@@ -100,12 +100,11 @@ class Engine:
         proc.metrics.starve_wait += self.now - proc.blocked_since
         if proc.metrics.timeline is not None and self.now > proc.blocked_since:
             proc.metrics.timeline.append(("starve", proc.blocked_since, self.now))
-        if _cp.CURRENT is not None and self.now > proc.blocked_since:
-            _cp.CURRENT.on_wait(
+        p = _probe.CURRENT
+        if p is not None:
+            p.unblocked(
                 wid, _cp.STARVE, proc.blocked_since, self.now, signal.name, self._current
             )
-        if _trace.CURRENT is not None:
-            _trace.on_wake(signal.name, task=wid)
         proc.state = _State.READY
         self._schedule(wid, self.now)
 
@@ -116,12 +115,11 @@ class Engine:
         proc.metrics.lock_wait += self.now - proc.blocked_since
         if proc.metrics.timeline is not None and self.now > proc.blocked_since:
             proc.metrics.timeline.append(("lock", proc.blocked_since, self.now))
-        if _cp.CURRENT is not None and self.now > proc.blocked_since:
-            _cp.CURRENT.on_wait(
+        p = _probe.CURRENT
+        if p is not None:
+            p.unblocked(
                 wid, _cp.LOCK_WAIT, proc.blocked_since, self.now, lock.name, self._current
             )
-        if _trace.CURRENT is not None:
-            _trace.on_acquire(lock.name, task=wid)
         proc.state = _State.READY
         self._schedule(wid, self.now)
 
@@ -129,17 +127,13 @@ class Engine:
 
     def _handle(self, wid: int, op: Op) -> None:
         proc = self._procs[wid]
-        if _obs.CURRENT is not None:
-            _obs.CURRENT.count_op(type(op).__name__)
+        p = _probe.CURRENT
+        if p is not None:
+            p.dispatched(wid, op, self.now)
         if isinstance(op, Compute):
             proc.metrics.busy += op.units
             if proc.metrics.timeline is not None and op.units > 0:
                 proc.metrics.timeline.append(("busy", self.now, self.now + op.units))
-            if _cp.CURRENT is not None and op.units > 0:
-                _cp.CURRENT.on_busy(
-                    wid, self.now, self.now + op.units,
-                    tag=op.tag, node=op.node, cls=op.cls, parts=op.parts,
-                )
             self._schedule(wid, self.now + op.units)
         elif isinstance(op, Acquire):
             lock = op.lock
@@ -156,8 +150,8 @@ class Engine:
             if lock.holder is None and not lock.waiters:
                 lock.holder = wid
                 proc.held.append(lock.name)
-                if _trace.CURRENT is not None:
-                    _trace.on_acquire(lock.name, task=wid)
+                if p is not None:
+                    p.acquire(lock.name, wid)
                 self._schedule(wid, self.now)
             else:
                 lock.waiters.append(wid)
@@ -171,8 +165,8 @@ class Engine:
                 )
             lock.holder = None
             proc.held.remove(lock.name)
-            if _trace.CURRENT is not None:
-                _trace.on_release(lock.name, task=wid)
+            if p is not None:
+                p.release(lock.name, wid)
             if lock.waiters:
                 self._grant_lock(lock, lock.waiters.popleft())
             self._schedule(wid, self.now)
@@ -181,14 +175,12 @@ class Engine:
             if op.signal.version != op.seen_version:
                 # Notified between the worker's check and its wait: resume
                 # immediately rather than sleeping through the wakeup.
-                if _trace.CURRENT is not None:
-                    _trace.on_wake(op.signal.name, task=wid)
+                if p is not None:
+                    p.wake(op.signal.name, wid)
                 self._schedule(wid, self.now)
             else:
-                if _trace.CURRENT is not None:
-                    _trace.on_wait(
-                        op.signal.name, op.seen_version, op.signal.version, task=wid
-                    )
+                if p is not None:
+                    p.wait(op.signal.name, op.seen_version, op.signal.version, wid)
                 op.signal.waiters.append(wid)
                 proc.state = _State.BLOCKED_WORK
                 proc.blocked_since = self.now
@@ -208,17 +200,18 @@ class Engine:
         if self._running:
             raise SimulationError("engine instances are single-use")
         self._running = True
-        if _trace.CURRENT is not None:
+        p = _probe.CURRENT
+        if p is not None:
             # Order every worker's first step after the setup code that
             # built the shared state (the happens-before edge a thread
             # start would provide).
-            _trace.on_notify("task-init", 0)
+            p.notify("task-init", 0)
             for wid in range(len(self._procs)):
-                _trace.on_wake("task-init", task=wid)
+                p.wake("task-init", wid)
         for wid in range(len(self._procs)):
             self._schedule(wid, 0.0)
 
-        bus = _obs.CURRENT
+        bus = p.bus if p is not None else None
         prev_clock = None
         if bus is not None:
             # Telemetry emitted during this run is stamped in simulated
@@ -234,8 +227,7 @@ class Engine:
                 if proc.state is _State.FINISHED:
                     continue
                 self._current = wid
-                _trace.set_task(wid)
-                _obs.set_task(wid)
+                _probe.set_task(wid)
                 try:
                     op = proc.worker.send(None)
                 except StopIteration:
@@ -244,8 +236,7 @@ class Engine:
                     continue
                 self._handle(wid, op)
         finally:
-            _trace.set_task(None)
-            _obs.set_task(None)
+            _probe.set_task(None)
             if bus is not None:
                 bus.use_clock(prev_clock)
 

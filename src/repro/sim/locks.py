@@ -18,7 +18,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..errors import SimulationError
-from ..verify import trace as _trace
+from ..obs import probe as _probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .engine import Engine
@@ -72,8 +72,9 @@ class WorkSignal:
         releasing worker the same way).
         """
         self.version += 1
-        if _trace.CURRENT is not None:
-            _trace.on_notify(self.name, self.version)
+        p = _probe.CURRENT
+        if p is not None:
+            p.notify(self.name, self.version)
         if self._engine is None:
             return  # nothing ever waited
         while self.waiters:

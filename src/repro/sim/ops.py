@@ -10,15 +10,27 @@ processor blocks:
   blocked time is accounted as *interference loss* (paper Section 3.1).
 * :class:`WaitWork` — block on a :class:`WorkSignal` until new work is
   announced; blocked time is accounted as *starvation loss*.
+
+Each op class declares, where it is defined, the registry counter its
+dispatches are tallied under (``metric``) and the loss class its time
+falls in (``loss``, one of :data:`LOSS_CLASSES`) — e.g.
+``class Compute(Op, metric="sim.ops.compute", loss="busy")``.  A
+subclass that omits either fails with :class:`TypeError` when it is
+defined, so no op kind can escape the metrics registry or critical-path
+attribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .locks import SimLock, WorkSignal
+
+
+#: Where an op's time goes in the paper's Section 3.1 decomposition.
+LOSS_CLASSES = ("busy", "interference", "starvation")
 
 
 class Op:
@@ -26,9 +38,21 @@ class Op:
 
     __slots__ = ()
 
+    #: Registry counter tallying this op kind's dispatches.
+    metric: ClassVar[str]
+    #: Loss class of the time this op accounts for.
+    loss: ClassVar[str]
+
+    def __init_subclass__(cls, *, metric: str, loss: str) -> None:
+        super().__init_subclass__()
+        if loss not in LOSS_CLASSES:
+            raise TypeError(f"{cls.__name__}: loss {loss!r} is not one of {LOSS_CLASSES}")
+        cls.metric = metric
+        cls.loss = loss
+
 
 @dataclass(frozen=True)
-class Compute(Op):
+class Compute(Op, metric="sim.ops.compute", loss="busy"):
     """Advance this processor's clock by ``units`` of busy time.
 
     The optional attribution fields do not affect scheduling — the
@@ -53,21 +77,21 @@ class Compute(Op):
 
 
 @dataclass(frozen=True)
-class Acquire(Op):
+class Acquire(Op, metric="sim.ops.acquire", loss="interference"):
     """Block until the lock is granted to this processor (FIFO order)."""
 
     lock: "SimLock"
 
 
 @dataclass(frozen=True)
-class Release(Op):
+class Release(Op, metric="sim.ops.release", loss="interference"):
     """Release a lock held by this processor."""
 
     lock: "SimLock"
 
 
 @dataclass(frozen=True)
-class WaitWork(Op):
+class WaitWork(Op, metric="sim.ops.wait_work", loss="starvation"):
     """Block until the signal is notified (new work or termination).
 
     ``seen_version`` is the signal version the worker observed when it

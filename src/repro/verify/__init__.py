@@ -7,7 +7,8 @@ coordinated passes (DESIGN.md "Verification"):
 * :mod:`repro.verify.trace` — shared-state access instrumentation.  The
   discrete-event engine, the threaded driver, the problem-heap queues,
   and the tree-mutation paths all emit :class:`~repro.verify.trace.Event`
-  records when a recorder is installed; with no recorder the hooks are a
+  records, through the one instrumentation probe (:mod:`repro.obs.probe`),
+  when a recorder is attached; with nothing attached each site is a
   single ``is None`` test.
 * :mod:`repro.verify.racedetect` — an Eraser-style lockset analyzer
   combined with a vector-clock happens-before checker over those event

@@ -65,8 +65,6 @@ __all__ = [
 _COSTMODEL = "src/repro/costmodel.py"
 _WHATIF = "src/repro/obs/whatif.py"
 _ENGINE = "src/repro/sim/engine.py"
-_REGISTRY = "src/repro/obs/registry.py"
-_CRITPATH = "src/repro/obs/critpath.py"
 
 
 def repo_root() -> Path:
@@ -90,10 +88,8 @@ def analyze_repo(root: Optional[Path] = None) -> list[FlowFinding]:
         vocab = tag_vocabulary(costmodel, whatif)
         findings.extend(check_compute_tags(project, vocab))
     engine = _read(base, _ENGINE)
-    registry = _read(base, _REGISTRY)
-    critpath = _read(base, _CRITPATH)
-    if engine is not None and registry is not None and critpath is not None:
-        findings.extend(check_op_conformance(project, engine, registry, critpath))
+    if engine is not None:
+        findings.extend(check_op_conformance(project, engine))
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.signature))
 
 
@@ -104,8 +100,8 @@ def analyze_sources(
 ) -> list[FlowFinding]:
     """Analysis over in-memory sources (fixtures and mutation self-tests).
 
-    Conformance checks that need the declaring modules (engine/registry/
-    critpath) are skipped; Compute-tag checks run when ``vocab`` is given.
+    The op-conformance check, which needs the engine's source, is
+    skipped; Compute-tag checks run when ``vocab`` is given.
     """
     project = project_from_sources(sources)
     findings = analyze_project(project, tuple(entry_names))

@@ -462,7 +462,9 @@ class _FunctionInterp(StructuredWalker):
         if not self.is_shared(func.value):
             self._call_shared[id(call)] = False
             return state
-        candidates = project.resolve_method(func.attr, self.info.path)
+        candidates = project.resolve_method(
+            func.attr, self.info.path, project.receiver_class(func.value, self.info)
+        )
         if not candidates:
             # Opaque method on a shared object (dict/list/bus surface).
             self._call_shared[id(call)] = True

@@ -9,16 +9,16 @@ Two things live here:
   lockset, queue traffic, simulated-time charges, sharedness of its
   return value) at every other call site for free.
 
-* **Protocol conformance** — the call-graph-aware lift of the VER002/
-  VER005/VER006 total-map lints: instead of "every Op subclass has an
-  arm somewhere", these checks start from the op kinds *actually
-  yielded* by the analyzed worker code and verify that each one is
-  handled by ``Engine._handle``, named in ``OP_METRICS``, and
-  classified in ``OP_ATTRIBUTION``; and that every ``Compute`` carries
-  a cost tag drawn from the declared vocabulary (``CostModel`` field
-  names, the what-if profiler's ``PRIMITIVE_FIELDS``, and the serial
-  chunk tag) — an op or tag outside these maps would silently corrupt
-  the loss decomposition every experiment reports.
+* **Protocol conformance** — the call-graph-aware lift of the VER002
+  lint: instead of "every Op subclass has an arm somewhere", these
+  checks start from the op kinds *actually yielded* by the analyzed
+  worker code and verify that each one is handled by
+  ``Engine._handle``; and that every ``Compute`` carries a cost tag
+  drawn from the declared vocabulary (``CostModel`` field names, the
+  what-if profiler's ``PRIMITIVE_FIELDS``, and the serial chunk tag) —
+  an op or tag outside these would silently corrupt the loss
+  decomposition every experiment reports.  (An op's metric and loss
+  class are declared on its class, so they cannot be missing.)
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import ast
 from dataclasses import dataclass
 from typing import Optional
 
-from ..staticcheck import _mapping_keys
 from .callgraph import OP_CONSTRUCTORS, Project
 from .model import FlowFinding
 
@@ -57,11 +56,22 @@ def tag_vocabulary(costmodel_source: str, whatif_source: str) -> frozenset[str]:
                     item.target, ast.Name
                 ):
                     vocab.add(item.target.id)
-    whatif_tree = ast.parse(whatif_source)
-    keys = _mapping_keys(whatif_tree, "PRIMITIVE_FIELDS")
-    for key in keys or []:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            vocab.add(key.value)
+    for node in ast.parse(whatif_source).body:
+        targets: list[ast.expr]
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            continue
+        if isinstance(node.value, ast.Dict) and any(
+            isinstance(t, ast.Name) and t.id == "PRIMITIVE_FIELDS" for t in targets
+        ):
+            vocab.update(
+                key.value
+                for key in node.value.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
     return frozenset(vocab)
 
 
@@ -163,37 +173,12 @@ def _isinstance_arms(engine_source: str) -> set[str]:
     return arms
 
 
-def _literal_keys(source: str, name: str) -> Optional[set[str]]:
-    keys = _mapping_keys(ast.parse(source), name)
-    if keys is None:
-        return None
-    return {
-        key.value
-        for key in keys
-        if isinstance(key, ast.Constant) and isinstance(key.value, str)
-    }
-
-
-def check_op_conformance(
-    project: Project,
-    engine_source: str,
-    registry_source: str,
-    critpath_source: str,
-) -> list[FlowFinding]:
-    """Every op kind the workers actually yield is fully accounted for."""
+def check_op_conformance(project: Project, engine_source: str) -> list[FlowFinding]:
+    """Every op kind the workers actually yield is handled by the engine."""
     findings: list[FlowFinding] = []
     arms = _isinstance_arms(engine_source)
-    metrics = _literal_keys(registry_source, "OP_METRICS")
-    attribution = _literal_keys(critpath_source, "OP_ATTRIBUTION")
     for op, (path, line) in sorted(reachable_ops(project).items()):
-        missing = []
         if op not in arms:
-            missing.append("an Engine._handle isinstance arm")
-        if metrics is not None and op not in metrics:
-            missing.append("an OP_METRICS entry")
-        if attribution is not None and op not in attribution:
-            missing.append("an OP_ATTRIBUTION entry")
-        if missing:
             findings.append(
                 FlowFinding(
                     rule="VER104",
@@ -202,8 +187,8 @@ def check_op_conformance(
                     function="<module>",
                     message=(
                         f"op {op} is yielded by reachable worker code but "
-                        f"has no {' / '.join(missing)}; its time would "
-                        "escape accounting"
+                        "has no Engine._handle isinstance arm; its time "
+                        "would escape accounting"
                     ),
                     signature=f"unhandled-op:{op}",
                 )

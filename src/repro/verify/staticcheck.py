@@ -1,6 +1,12 @@
 """AST lint enforcing the repo's concurrency and determinism invariants.
 
-Seven rules, each an invariant the rest of the codebase argues from:
+Six rules — VER001 to VER004, VER007 and VER008 — each an invariant
+the rest of the codebase argues from.  The numbers VER005, VER006 and
+VER009 are retired: they kept hand-written op and event tables in sync,
+and those tables are gone.  Each op class now declares its metric and
+loss class (:mod:`repro.sim.ops`) and each event type its metric
+(:data:`repro.obs.events.EVENT_TYPES`); a missing declaration fails at
+import or at emit.
 
 * **VER001 — lock discipline in the parallel ER workers.**  Every
   module-level worker generator in ``core/er_parallel.py`` is walked
@@ -31,19 +37,6 @@ Seven rules, each an invariant the rest of the codebase argues from:
   never a closure, lambda, or bound method — the spawn start method
   would fail at runtime, and only on platforms that spawn.  A call on
   ``self`` is a class's own method, not a submission.
-* **VER005 — telemetry coverage.**  Every ``Op`` subclass in
-  ``sim/ops.py`` must have an entry in ``repro.obs.registry.OP_METRICS``
-  and every ``EV_*`` event type in ``repro.obs.events`` an entry in
-  ``EVENT_METRICS`` — an op or event the metrics registry cannot name
-  would vanish from every snapshot; conversely a registry key naming a
-  nonexistent op or event is dead mapping.
-* **VER006 — critical-path attribution coverage.**  Every ``Op``
-  subclass in ``sim/ops.py`` must have an entry in
-  ``repro.obs.critpath.OP_ATTRIBUTION`` whose value names a real loss
-  class (``busy`` / ``interference`` / ``starvation``) — an op kind the
-  critical-path profiler cannot classify would silently escape makespan
-  attribution; conversely an entry naming a nonexistent op is dead
-  mapping.
 * **VER007 — eval-parity coverage.**  Every class in ``games/`` that
   implements ``batch_eval`` must be named in
   ``tests/test_eval_differential.py`` — a vectorized evaluator the
@@ -58,15 +51,6 @@ Seven rules, each an invariant the rest of the codebase argues from:
   the span ring's wall clock, and the ledger's record timestamp.
   Stricter than VER003 because a bare ``time.perf_counter`` stored as
   a default is nondeterminism deferred, not avoided.
-* **VER009 — real-backend event coverage.**  Every ``EV_*`` constant
-  the real backends (``parallel/``) emit must exist in
-  ``repro.obs.events``, have an ``EVENT_METRICS`` entry, and be served
-  by the live registry feed: ``repro.obs.registry`` must define
-  ``feed_event`` and ``aggregate`` must route through it, so a metric
-  visible mid-run (``repro-gametree top``, the Prometheus endpoint) is
-  the same metric the post-hoc snapshot reports.  Without this, an
-  event added to a real backend could be invisible live, visible
-  post-hoc, or both-but-differently.
 
 The multiproc coordinator itself is exempt from VER001 by design: it is
 single-threaded, and worker processes share nothing (DESIGN.md
@@ -448,240 +432,6 @@ def _op_class_names(ops_source: str, ops_path: str) -> set[str]:
     }
 
 
-def _event_constants(events_source: str, events_path: str) -> dict[str, str]:
-    """``EV_*`` module-level string constants: name -> value."""
-    tree = ast.parse(events_source, filename=events_path)
-    constants: dict[str, str] = {}
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id.startswith("EV_")
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)
-            ):
-                constants[target.id] = node.value.value
-    return constants
-
-
-def _mapping_keys(
-    registry_tree: ast.Module, name: str
-) -> Optional[list[ast.expr]]:
-    """Key expressions of the module-level dict literal bound to ``name``."""
-    for node in registry_tree.body:
-        if isinstance(node, ast.AnnAssign):
-            targets: list[ast.expr] = [node.target]
-            value = node.value
-        elif isinstance(node, ast.Assign):
-            targets = list(node.targets)
-            value = node.value
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == name for t in targets):
-            continue
-        if isinstance(value, ast.Dict):
-            return [k for k in value.keys if k is not None]
-        return None
-    return None
-
-
-def check_obs_coverage(
-    ops_path: str,
-    ops_source: str,
-    events_path: str,
-    events_source: str,
-    registry_path: str,
-    registry_source: str,
-) -> list[LintFinding]:
-    """VER005: the metrics registry names every op kind and event type."""
-    findings: list[LintFinding] = []
-    registry_tree = ast.parse(registry_source, filename=registry_path)
-
-    op_classes = _op_class_names(ops_source, ops_path)
-    op_keys = _mapping_keys(registry_tree, "OP_METRICS")
-    if op_keys is None:
-        findings.append(
-            LintFinding(
-                "VER005", registry_path, 1, "OP_METRICS dict literal not found"
-            )
-        )
-    else:
-        covered_ops = {
-            key.value
-            for key in op_keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
-        }
-        for name in sorted(op_classes - covered_ops):
-            findings.append(
-                LintFinding(
-                    "VER005",
-                    registry_path,
-                    1,
-                    f"op {name} has no OP_METRICS entry; its dispatch count "
-                    "would vanish from every snapshot",
-                )
-            )
-        for name in sorted(covered_ops - op_classes):
-            findings.append(
-                LintFinding(
-                    "VER005",
-                    registry_path,
-                    1,
-                    f"OP_METRICS names {name!r}, which is not an Op subclass "
-                    "in sim/ops.py (dead mapping)",
-                )
-            )
-
-    event_constants = _event_constants(events_source, events_path)
-    event_keys = _mapping_keys(registry_tree, "EVENT_METRICS")
-    if event_keys is None:
-        findings.append(
-            LintFinding(
-                "VER005", registry_path, 1, "EVENT_METRICS dict literal not found"
-            )
-        )
-        return findings
-    covered_events: set[str] = set()
-    for key in event_keys:
-        if (
-            isinstance(key, ast.Attribute)
-            and isinstance(key.value, ast.Name)
-            and key.value.id == "events"
-        ):
-            if key.attr in event_constants:
-                covered_events.add(key.attr)
-            else:
-                findings.append(
-                    LintFinding(
-                        "VER005",
-                        registry_path,
-                        key.lineno,
-                        f"EVENT_METRICS names events.{key.attr}, which is not "
-                        "defined in obs/events.py (dead mapping)",
-                    )
-                )
-        else:
-            findings.append(
-                LintFinding(
-                    "VER005",
-                    registry_path,
-                    key.lineno,
-                    f"EVENT_METRICS key {ast.unparse(key)!r} must reference an "
-                    "events.EV_* constant, not a literal",
-                )
-            )
-    for name in sorted(set(event_constants) - covered_events):
-        findings.append(
-            LintFinding(
-                "VER005",
-                events_path,
-                1,
-                f"event type {name} has no EVENT_METRICS entry; the registry "
-                "could not aggregate it",
-            )
-        )
-    return findings
-
-
-def _mapping_items(
-    module_tree: ast.Module, name: str
-) -> Optional[list[tuple[ast.expr, ast.expr]]]:
-    """(key, value) expression pairs of the dict literal bound to ``name``."""
-    for node in module_tree.body:
-        if isinstance(node, ast.AnnAssign):
-            targets: list[ast.expr] = [node.target]
-            value = node.value
-        elif isinstance(node, ast.Assign):
-            targets = list(node.targets)
-            value = node.value
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == name for t in targets):
-            continue
-        if isinstance(value, ast.Dict):
-            return [
-                (k, v) for k, v in zip(value.keys, value.values) if k is not None
-            ]
-        return None
-    return None
-
-
-#: Loss classes a VER006 attribution value may name.
-_ATTRIBUTION_CLASSES = frozenset({"busy", "interference", "starvation"})
-
-
-def check_critpath_coverage(
-    ops_path: str,
-    ops_source: str,
-    critpath_path: str,
-    critpath_source: str,
-) -> list[LintFinding]:
-    """VER006: the critical-path profiler classifies every op kind."""
-    findings: list[LintFinding] = []
-    critpath_tree = ast.parse(critpath_source, filename=critpath_path)
-
-    op_classes = _op_class_names(ops_source, ops_path)
-    items = _mapping_items(critpath_tree, "OP_ATTRIBUTION")
-    if items is None:
-        findings.append(
-            LintFinding(
-                "VER006", critpath_path, 1, "OP_ATTRIBUTION dict literal not found"
-            )
-        )
-        return findings
-    covered: set[str] = set()
-    for key, value in items:
-        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-            findings.append(
-                LintFinding(
-                    "VER006",
-                    critpath_path,
-                    key.lineno,
-                    f"OP_ATTRIBUTION key {ast.unparse(key)!r} must be a string "
-                    "literal naming an Op subclass",
-                )
-            )
-            continue
-        covered.add(key.value)
-        if not (
-            isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-            and value.value in _ATTRIBUTION_CLASSES
-        ):
-            findings.append(
-                LintFinding(
-                    "VER006",
-                    critpath_path,
-                    value.lineno,
-                    f"OP_ATTRIBUTION[{key.value!r}] is {ast.unparse(value)!r}; "
-                    f"must be one of {sorted(_ATTRIBUTION_CLASSES)}",
-                )
-            )
-    for name in sorted(op_classes - covered):
-        findings.append(
-            LintFinding(
-                "VER006",
-                critpath_path,
-                1,
-                f"op {name} has no OP_ATTRIBUTION entry; the critical-path "
-                "profiler could not classify its time",
-            )
-        )
-    for name in sorted(covered - op_classes):
-        findings.append(
-            LintFinding(
-                "VER006",
-                critpath_path,
-                1,
-                f"OP_ATTRIBUTION names {name!r}, which is not an Op subclass "
-                "in sim/ops.py (dead mapping)",
-            )
-        )
-    return findings
-
-
 def _batch_eval_classes(source: str, path: str) -> list[tuple[str, int]]:
     """(name, line) of classes in ``source`` defining ``batch_eval``.
 
@@ -836,123 +586,6 @@ def check_clock_seams(path: str, source: str) -> list[LintFinding]:
     return findings
 
 
-def _emitted_event_names(source: str, path: str) -> list[tuple[str, int]]:
-    """``EV_*`` constant names passed as the first argument of ``emit()``.
-
-    Matches ``bus.emit(_obs.EV_X, ...)``, ``events.EV_X``, and bare
-    ``EV_X`` references, wherever the emitting call lives in the file.
-    """
-    tree = ast.parse(source, filename=path)
-    found: list[tuple[str, int]] = []
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-            and node.args
-        ):
-            continue
-        first = node.args[0]
-        if isinstance(first, ast.Attribute) and first.attr.startswith("EV_"):
-            found.append((first.attr, node.lineno))
-        elif isinstance(first, ast.Name) and first.id.startswith("EV_"):
-            found.append((first.id, node.lineno))
-    return found
-
-
-def check_parallel_event_coverage(
-    parallel_sources: Iterable[tuple[str, str]],
-    events_path: str,
-    events_source: str,
-    registry_path: str,
-    registry_source: str,
-) -> list[LintFinding]:
-    """VER009: real-backend events are metered and served live.
-
-    ``parallel_sources`` is ``(path, source)`` per module under
-    ``parallel/``.  Three obligations: every emitted ``EV_*`` exists in
-    ``obs/events.py``; every emitted ``EV_*`` has an ``EVENT_METRICS``
-    entry; and the live feed and post-hoc aggregation share one
-    accounting path (``registry.feed_event`` exists and ``aggregate``
-    calls it) — otherwise live metrics could diverge from the snapshot.
-    """
-    findings: list[LintFinding] = []
-    event_constants = _event_constants(events_source, events_path)
-    registry_tree = ast.parse(registry_source, filename=registry_path)
-
-    covered: set[str] = set()
-    event_keys = _mapping_keys(registry_tree, "EVENT_METRICS")
-    if event_keys is not None:
-        for key in event_keys:
-            if isinstance(key, ast.Attribute):
-                covered.add(key.attr)
-
-    for path, source in parallel_sources:
-        for name, lineno in _emitted_event_names(source, path):
-            if name not in event_constants:
-                findings.append(
-                    LintFinding(
-                        "VER009",
-                        path,
-                        lineno,
-                        f"emits {name}, which is not defined in obs/events.py",
-                    )
-                )
-            elif name not in covered:
-                findings.append(
-                    LintFinding(
-                        "VER009",
-                        path,
-                        lineno,
-                        f"emits {name} but EVENT_METRICS has no entry for it; "
-                        "the live registry feed would misfile it and it would "
-                        "vanish from `repro-gametree top` and the snapshot",
-                    )
-                )
-
-    feed_fn: Optional[ast.FunctionDef] = None
-    aggregate_fn: Optional[ast.FunctionDef] = None
-    for node in registry_tree.body:
-        if isinstance(node, ast.FunctionDef):
-            if node.name == "feed_event":
-                feed_fn = node
-            elif node.name == "aggregate":
-                aggregate_fn = node
-    if feed_fn is None:
-        findings.append(
-            LintFinding(
-                "VER009",
-                registry_path,
-                1,
-                "registry defines no feed_event(); live metrics have no "
-                "single accounting path",
-            )
-        )
-    if aggregate_fn is not None and feed_fn is not None:
-        calls_feed = any(
-            isinstance(node, ast.Call)
-            and (
-                (isinstance(node.func, ast.Name) and node.func.id == "feed_event")
-                or (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "feed_event"
-                )
-            )
-            for node in ast.walk(aggregate_fn)
-        )
-        if not calls_feed:
-            findings.append(
-                LintFinding(
-                    "VER009",
-                    registry_path,
-                    aggregate_fn.lineno,
-                    "aggregate() does not call feed_event(); post-hoc metrics "
-                    "could diverge from the live feed",
-                )
-            )
-    return findings
-
-
 #: Modules under ``parallel/`` whose calls ship functions to worker processes.
 PICKLE_BOUNDARY = ("multiproc.py", "channel.py")
 
@@ -1073,40 +706,6 @@ def check_repo(root: Optional[str] = None) -> list[LintFinding]:
         module = src / "parallel" / name
         if module.exists():
             findings.extend(check_file(str(module), rules={"VER004"}))
-
-    events_py = src / "obs" / "events.py"
-    registry_py = src / "obs" / "registry.py"
-    findings.extend(
-        check_obs_coverage(
-            str(ops),
-            ops.read_text(),
-            str(events_py),
-            events_py.read_text(),
-            str(registry_py),
-            registry_py.read_text(),
-        )
-    )
-
-    critpath_py = src / "obs" / "critpath.py"
-    findings.extend(
-        check_critpath_coverage(
-            str(ops), ops.read_text(), str(critpath_py), critpath_py.read_text()
-        )
-    )
-
-    parallel_sources = [
-        (str(path), path.read_text())
-        for path in sorted((src / "parallel").glob("*.py"))
-    ]
-    findings.extend(
-        check_parallel_event_coverage(
-            parallel_sources,
-            str(events_py),
-            events_py.read_text(),
-            str(registry_py),
-            registry_py.read_text(),
-        )
-    )
 
     battery = base / "tests" / "test_eval_differential.py"
     if battery.exists():

@@ -1,16 +1,21 @@
 """Shared-state access instrumentation for the race detector.
 
 The execution substrates (the discrete-event engine, the threaded
-driver, and the worker generators they both drive) call the hook
-functions below at every synchronization operation and at every access
-to instrumented shared state.  With no recorder installed each hook is a
-module-global ``is None`` test, so the instrumentation is free on the
-hot path; under :func:`tracing` the hooks append :class:`Event` records
-that :mod:`repro.verify.racedetect` analyzes offline.
+driver, and the worker generators they both drive) report every
+synchronization operation and every access to instrumented shared state
+through the one instrumentation probe (:mod:`repro.obs.probe`).  A
+:class:`TraceRecorder` is one of the probe's four sinks, beside the
+telemetry bus, the critical-path recorder and the span ring; with no
+sink attached each site is one module-global ``is None`` test, so the
+instrumentation is free on the hot path.  Under :func:`tracing` the
+recorder appends :class:`Event` records that
+:mod:`repro.verify.racedetect` analyzes offline.  Its vocabulary stays
+minimal and lockset-friendly: the rich, timestamped telemetry payloads
+go to the bus.
 
 Task attribution: the simulator sets the current task id explicitly
-(:func:`set_task`) before resuming each worker, because every simulated
-processor runs on one OS thread.  The threaded backend leaves it unset
+(:func:`repro.obs.probe.set_task`) before resuming each worker, because
+every simulated processor runs on one OS thread.  The threaded backend leaves it unset
 and events fall back to ``threading.get_ident()``.  ``list.append`` is
 atomic under the GIL, so threads may share one recorder.
 
@@ -64,7 +69,12 @@ class Event:
 
 
 class TraceRecorder:
-    """Accumulates events; install with :func:`tracing` or :func:`install`."""
+    """Accumulates events; attach with :func:`tracing`.
+
+    The probe (:mod:`repro.obs.probe`) calls the recording methods below;
+    ``task`` defaults to the explicit task id or, failing that, the OS
+    thread id.
+    """
 
     def __init__(self) -> None:
         self.events: list[Event] = []
@@ -74,100 +84,54 @@ class TraceRecorder:
     def task_id(self) -> int:
         return self.task if self.task is not None else threading.get_ident()
 
+    def _task(self, task: Optional[int]) -> int:
+        return task if task is not None else self.task_id()
 
-#: The active recorder; ``None`` disables all hooks.  Read directly by
-#: instrumented modules (``trace.CURRENT is not None``) to skip hook
-#: calls entirely on hot paths.
-CURRENT: Optional[TraceRecorder] = None
+    def acquire(self, obj: str, task: Optional[int] = None) -> None:
+        """A lock named ``obj`` was granted to the current (or given) task."""
+        self.events.append(Event(ACQUIRE, self._task(task), obj))
 
+    def release(self, obj: str, task: Optional[int] = None) -> None:
+        """A lock named ``obj`` was released by the current (or given) task."""
+        self.events.append(Event(RELEASE, self._task(task), obj))
 
-def install(recorder: TraceRecorder) -> None:
-    global CURRENT
-    CURRENT = recorder
+    def access(self, obj: str, kind: str, relaxed: bool = False) -> None:
+        """The current task read or wrote the shared location ``obj``."""
+        self.events.append(Event(kind, self.task_id(), obj, relaxed=relaxed))
 
+    def wait(
+        self, obj: str, seen_version: int, version: int, task: Optional[int] = None
+    ) -> None:
+        """The task blocked on signal ``obj``.
 
-def uninstall() -> None:
-    global CURRENT
-    CURRENT = None
+        ``seen_version`` is the version observed when the task decided to
+        wait; ``version`` is the signal's version at the instant of
+        blocking.  A mismatch is a lost-wakeup window — the detector flags
+        it (the real engine never blocks on a stale version; see
+        ``sim.ops.WaitWork``).
+        """
+        self.events.append(Event(WAIT, self._task(task), obj, seen_version, version))
+
+    def notify(self, obj: str, version: int, task: Optional[int] = None) -> None:
+        """The task notified signal ``obj``, moving it to ``version``."""
+        self.events.append(Event(NOTIFY, self._task(task), obj, version=version))
+
+    def wake(self, obj: str, task: Optional[int] = None) -> None:
+        """The task resumed from a wait on signal ``obj``."""
+        self.events.append(Event(WAKE, self._task(task), obj))
 
 
 @contextmanager
 def tracing() -> Iterator[TraceRecorder]:
     """Record all instrumented activity within the block.
 
+    Attaches a fresh recorder as the probe's ``trace`` sink; leaving the
+    block restores whatever recorder was attached before.
+
     Yields:
         The recorder; read ``recorder.events`` after the block.
     """
-    recorder = TraceRecorder()
-    install(recorder)
-    try:
+    from ..obs import probe
+
+    with probe.attached("trace", TraceRecorder()) as recorder:
         yield recorder
-    finally:
-        uninstall()
-
-
-def set_task(task: Optional[int]) -> None:
-    """Attribute subsequent events to ``task`` (simulator use)."""
-    if CURRENT is not None:
-        CURRENT.task = task
-
-
-def on_acquire(obj: str, task: Optional[int] = None) -> None:
-    """A lock named ``obj`` was granted to the current (or given) task."""
-    r = CURRENT
-    if r is None:
-        return
-    r.events.append(Event(ACQUIRE, task if task is not None else r.task_id(), obj))
-
-
-def on_release(obj: str, task: Optional[int] = None) -> None:
-    """A lock named ``obj`` was released by the current (or given) task."""
-    r = CURRENT
-    if r is None:
-        return
-    r.events.append(Event(RELEASE, task if task is not None else r.task_id(), obj))
-
-
-def on_access(obj: str, kind: str, relaxed: bool = False) -> None:
-    """The current task read or wrote the shared location ``obj``."""
-    r = CURRENT
-    if r is None:
-        return
-    r.events.append(Event(kind, r.task_id(), obj, relaxed=relaxed))
-
-
-def on_wait(
-    obj: str, seen_version: int, version: int, task: Optional[int] = None
-) -> None:
-    """The task blocked on signal ``obj``.
-
-    ``seen_version`` is the version observed when the task decided to
-    wait; ``version`` is the signal's version at the instant of
-    blocking.  A mismatch is a lost-wakeup window — the detector flags
-    it (the real engine never blocks on a stale version; see
-    ``sim.ops.WaitWork``).
-    """
-    r = CURRENT
-    if r is None:
-        return
-    r.events.append(
-        Event(WAIT, task if task is not None else r.task_id(), obj, seen_version, version)
-    )
-
-
-def on_notify(obj: str, version: int, task: Optional[int] = None) -> None:
-    """The task notified signal ``obj``, moving it to ``version``."""
-    r = CURRENT
-    if r is None:
-        return
-    r.events.append(
-        Event(NOTIFY, task if task is not None else r.task_id(), obj, version=version)
-    )
-
-
-def on_wake(obj: str, task: Optional[int] = None) -> None:
-    """The task resumed from a wait on signal ``obj``."""
-    r = CURRENT
-    if r is None:
-        return
-    r.events.append(Event(WAKE, task if task is not None else r.task_id(), obj))

@@ -23,7 +23,7 @@ from repro.costmodel import CostModel
 from repro.errors import SearchError
 from repro.games.base import hash_key
 from repro.games.random_tree import RandomGameTree
-from repro.obs import live
+from repro.obs import live, probe
 from repro.search.transposition import Bound, TTEntry
 from repro.sim.ops import Acquire, Compute, Release
 
@@ -281,6 +281,7 @@ class TestSharedMemoryTT:
         table = SharedMemoryTT(capacity=WAYS, n_stripes=1, kind=EVAL)
         ring = live.install_ring(live.TRACE_FULL)
         try:
+            assert probe.CURRENT is not None and probe.CURRENT.ring is ring
             for key in range(1, WAYS + 2):
                 table.store(key, static_entry(float(key)))
             assert table.probe(WAYS + 1) == static_entry(float(WAYS + 1))

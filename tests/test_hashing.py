@@ -6,8 +6,6 @@ import pytest
 
 from repro.games._hashing import path_hash, splitmix64, uniform_int
 from repro.games.connect4 import ConnectFour
-from repro.games.othello import Othello
-from repro.games.othello import board as B
 
 paths = st.lists(st.integers(min_value=0, max_value=63), max_size=8).map(tuple)
 
@@ -71,87 +69,15 @@ class TestUniformInt:
 
 
 # ---------------------------------------------------------------------------
-# Incremental Zobrist updates (repro.cache keys): apply == full rehash,
-# and re-applying the same XOR delta undoes it.
+# Zobrist keys (repro.cache keys) are a full rehash of the board; the
+# incremental-update helpers had no caller and are gone with their tests.
 # ---------------------------------------------------------------------------
 
 class TestIncrementalZobristConnect4:
-    @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=14))
-    def test_apply_matches_full_rehash(self, picks):
-        """Playing any move sequence, the incremental key tracks hash_key."""
-        game = ConnectFour()
-        position = game.root()
-        key = game.hash_key(position)
-        for pick in picks:
-            if game.opponent_just_won(position):
-                break
-            columns = game.legal_columns(position)
-            if not columns:
-                break
-            column = columns[pick % len(columns)]
-            key = game.hash_after_move(position, column, key)
-            position = game.play(position, column)
-            assert key == game.hash_key(position)
-
-    @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=10))
-    def test_reapplying_delta_undoes(self, picks):
-        """XOR involution: the same move delta applied twice cancels."""
-        game = ConnectFour()
-        position = game.root()
-        for pick in picks:
-            columns = game.legal_columns(position)
-            if not columns:
-                break
-            position = game.play(position, columns[pick % len(columns)])
-        key = game.hash_key(position)
-        for column in game.legal_columns(position):
-            once = game.hash_after_move(position, column, key)
-            assert once != key
-            assert game.hash_after_move(position, column, once) == key
-
     def test_children_order_matches_legal_columns(self):
-        """The pairing the incremental tests rely on."""
+        """Children come in legal-column order."""
         game = ConnectFour()
         position = game.play(game.root(), 3)
         children = game.children(position)
         for column, child in zip(game.legal_columns(position), children):
             assert game.play(position, column) == child
-
-
-class TestIncrementalZobristOthello:
-    @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=10))
-    def test_apply_matches_full_rehash(self, picks):
-        """Every legal move's incremental key equals the child's rehash,
-        including forced passes."""
-        game = Othello()
-        position = game.root()
-        for pick in picks:
-            key = Othello.hash_key(position)
-            children = game.children(position)
-            if not children:
-                break
-            moves = B.legal_moves(position.own, position.opp)
-            if moves == 0:  # forced pass: one child, side flip only
-                assert Othello.hash_after_pass(key) == Othello.hash_key(children[0])
-                position = children[0]
-                continue
-            move_bits = list(B.bits(moves))
-            assert len(move_bits) == len(children)
-            for move, child in zip(move_bits, children):
-                assert Othello.hash_after_move(position, move, key) == Othello.hash_key(child)
-            position = children[pick % len(children)]
-
-    @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=6))
-    def test_reapplying_delta_undoes(self, picks):
-        game = Othello()
-        position = game.root()
-        for pick in picks:
-            children = game.children(position)
-            if not children:
-                break
-            position = children[pick % len(children)]
-        key = Othello.hash_key(position)
-        for move in B.bits(B.legal_moves(position.own, position.opp)):
-            once = Othello.hash_after_move(position, move, key)
-            assert once != key
-            assert Othello.hash_after_move(position, move, once) == key

@@ -21,7 +21,7 @@ from repro.games.base import SearchProblem
 from repro.games.random_tree import RandomGameTree
 from repro.obs import aggregate, observing
 from repro.obs import events as obs_events
-from repro.obs import live
+from repro.obs import live, probe
 from repro.obs.export import render_chrome_trace
 from repro.obs.promtext import MetricsServer, render_prometheus
 from repro.obs.registry import MetricsRegistry, feed_event
@@ -126,13 +126,14 @@ class TestSpanRing:
             live.ring_for_mode("verbose")
 
     def test_install_uninstall_ring(self) -> None:
-        assert live.RING is None
+        assert probe.CURRENT is None
         try:
             ring = live.install_ring(live.TRACE_FULL)
-            assert live.RING is ring and ring is not None
+            assert probe.CURRENT is not None
+            assert probe.CURRENT.ring is ring and ring is not None
         finally:
             live.uninstall_ring()
-        assert live.RING is None
+        assert probe.CURRENT is None
 
 
 # ---------------------------------------------------------------------------

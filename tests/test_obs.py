@@ -14,6 +14,7 @@ Regenerate the golden trace after an intentional engine change with::
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from pathlib import Path
@@ -23,7 +24,7 @@ import pytest
 from repro.core.er_parallel import ERConfig, parallel_er
 from repro.games.base import SearchProblem
 from repro.games.random_tree import RandomGameTree
-from repro.obs import EVENT_METRICS, OP_METRICS, aggregate, observing, self_check
+from repro.obs import EVENT_TYPES, aggregate, observing, probe, self_check
 from repro.obs import events as obs_events
 from repro.obs import ledger
 from repro.obs.export import render_chrome_trace, render_jsonl
@@ -37,6 +38,7 @@ from repro.obs.snapshot import (
 )
 from repro.parallel.multiproc import multiproc_er
 from repro.parallel.threaded import threaded_er_observed
+from repro.sim.ops import Op
 
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "sim_trace.json"
 
@@ -122,12 +124,13 @@ class TestBusAndRegistry:
 
     def test_op_and_event_mappings_are_total(self, sim_run):
         bus, _ = sim_run
-        assert set(bus.op_counts) <= set(OP_METRICS)
-        assert {e.etype for e in bus.events} <= set(EVENT_METRICS)
+        gc.collect()  # frees any op class whose declaration raised
+        assert set(bus.op_counts) <= {op.metric for op in Op.__subclasses__()}
+        assert {e.etype for e in bus.events} <= set(EVENT_TYPES)
 
     def test_no_bus_no_events(self):
         result = parallel_er(_problem(), 2, config=ERConfig(serial_depth=2))
-        assert obs_events.CURRENT is None
+        assert probe.CURRENT is None
         assert result.value is not None
 
     def test_self_check_is_clean(self):

@@ -180,6 +180,79 @@ def test_ver101_nested_stripe_of_held_family_keeps_outer_hold() -> None:
     assert findings == []
 
 
+def test_outside_class_receiver_borrows_no_summary() -> None:
+    # ``self._tables[i]`` holds tables of a class defined outside the
+    # analyzed modules: their ``probe`` is opaque, and a call to it made
+    # inside a held section must not borrow the lock effects of the
+    # analyzed ``Store.probe`` (name-only matching re-entered the lock).
+    findings = analyze_sources(
+        _src(
+            """
+            from repro.search.transposition import TranspositionTable
+
+            class Store:
+                def __init__(self, n):
+                    self._tables = tuple(TranspositionTable() for _ in range(n))
+                    self.index_lock = threading.Lock()
+
+                def probe(self, key):
+                    with self.index_lock:
+                        entry = key
+                    return entry
+
+                def lookup(self, key):
+                    with self.index_lock:
+                        entry = self._tables[key % 2].probe(key)
+                    return entry
+
+            def _worker(ctx, stats, pid=0):
+                ctx.tt.lookup(1)
+                yield Compute(1, tag="tt_probe")
+            """
+        )
+    )
+    assert findings == []
+
+
+def test_self_receiver_resolves_through_its_class() -> None:
+    # ``self.probe`` inside ``Cache`` is ``Cache.probe``, never the
+    # same-named method of another class; through its own class the
+    # call still carries its lock effects.
+    findings = analyze_sources(
+        _src(
+            """
+            class Store:
+                def probe(self, key):
+                    with self.tree_lock:
+                        entry = key
+                    return entry
+
+            class Cache:
+                def probe(self, key):
+                    return key
+
+                def lookup(self, key):
+                    with self.tree_lock:
+                        entry = self.probe(key)
+                    return entry
+
+                def relock(self, key):
+                    with self.tree_lock:
+                        entry = self.lookup(key)
+                    return entry
+
+            def _worker(ctx, stats, pid=0):
+                ctx.cache.lookup(1)
+                ctx.cache.relock(1)
+                yield Compute(1, tag="tt_probe")
+            """
+        )
+    )
+    assert [(f.rule, f.function, f.signature) for f in findings] == [
+        ("VER101", "Cache.lookup", "reacquire:tree_lock")
+    ]
+
+
 def test_ver103_order_cycle_across_functions() -> None:
     findings = analyze_sources(
         _src(

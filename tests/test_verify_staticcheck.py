@@ -7,15 +7,27 @@ a planted violation.
 
 from __future__ import annotations
 
+import gc
 import textwrap
 
+import pytest
+
+from repro.core.er_parallel import ERConfig, parallel_er
+from repro.games.base import SearchProblem
+from repro.games.random_tree import RandomGameTree
+from repro.obs import aggregate, observing, probe
+from repro.obs import events as obs_events
+from repro.obs.critpath import ScheduleRecorder
+from repro.obs.live import LiveFeed
+from repro.obs.registry import MetricsRegistry, feed_event
+from repro.parallel.multiproc import multiproc_er
+from repro.sim.locks import SimLock
+from repro.sim.ops import LOSS_CLASSES, Acquire, Compute, Op, Release, WaitWork
 from repro.verify.staticcheck import (
     LintFinding,
-    check_critpath_coverage,
     check_eval_parity_coverage,
     check_file,
     check_lock_discipline,
-    check_obs_coverage,
     check_repo,
 )
 
@@ -232,145 +244,6 @@ def test_ver004_own_method_call_is_not_a_submission() -> None:
 
 
 # ---------------------------------------------------------------------------
-# VER005: metrics registry covers every op kind and event type.
-# ---------------------------------------------------------------------------
-
-_OPS = _src(
-    """
-    class Op:
-        pass
-
-    @dataclass(frozen=True)
-    class Compute(Op):
-        units: float
-
-    @dataclass(frozen=True)
-    class Acquire(Op):
-        lock: object
-    """
-)
-
-_EVENTS = _src(
-    """
-    EV_QUEUE_DEPTH = "queue-depth"
-    EV_NODE_DONE = "node-done"
-    """
-)
-
-
-def _obs_findings(registry: str) -> list[LintFinding]:
-    return check_obs_coverage(
-        "ops.py", _OPS, "events.py", _EVENTS, "registry.py", _src(registry)
-    )
-
-
-def test_ver005_full_coverage_passes() -> None:
-    findings = _obs_findings(
-        """
-        OP_METRICS = {"Compute": "sim.ops.compute", "Acquire": "sim.ops.acquire"}
-        EVENT_METRICS = {
-            events.EV_QUEUE_DEPTH: "queue.depth",
-            events.EV_NODE_DONE: "nodes.done",
-        }
-        """
-    )
-    assert findings == [], "\n".join(str(f) for f in findings)
-
-
-def test_ver005_uncovered_op_flagged() -> None:
-    findings = _obs_findings(
-        """
-        OP_METRICS = {"Compute": "sim.ops.compute"}
-        EVENT_METRICS = {
-            events.EV_QUEUE_DEPTH: "queue.depth",
-            events.EV_NODE_DONE: "nodes.done",
-        }
-        """
-    )
-    assert any("op Acquire has no OP_METRICS entry" in f.message for f in findings)
-
-
-def test_ver005_uncovered_event_and_dead_mappings_flagged() -> None:
-    findings = _obs_findings(
-        """
-        OP_METRICS = {
-            "Compute": "sim.ops.compute",
-            "Acquire": "sim.ops.acquire",
-            "Ghost": "sim.ops.ghost",
-        }
-        EVENT_METRICS = {
-            events.EV_QUEUE_DEPTH: "queue.depth",
-            events.EV_GHOST: "ghosts",
-            "literal-key": "nope",
-        }
-        """
-    )
-    messages = [f.message for f in findings]
-    assert any("'Ghost'" in m and "dead mapping" in m for m in messages)
-    assert any("events.EV_GHOST" in m for m in messages)
-    assert any("must reference an events.EV_* constant" in m for m in messages)
-    assert any("EV_NODE_DONE has no EVENT_METRICS entry" in m for m in messages)
-
-
-def test_ver005_missing_mapping_dict_flagged() -> None:
-    findings = _obs_findings("OTHER = 1")
-    assert any("OP_METRICS dict literal not found" in f.message for f in findings)
-    assert any("EVENT_METRICS dict literal not found" in f.message for f in findings)
-
-
-# ---------------------------------------------------------------------------
-# VER006: critical-path attribution covers every op kind.
-# ---------------------------------------------------------------------------
-
-
-def _critpath_findings(critpath: str) -> list[LintFinding]:
-    return check_critpath_coverage("ops.py", _OPS, "critpath.py", _src(critpath))
-
-
-def test_ver006_full_coverage_passes() -> None:
-    findings = _critpath_findings(
-        """
-        OP_ATTRIBUTION = {"Compute": "busy", "Acquire": "interference"}
-        """
-    )
-    assert findings == [], "\n".join(str(f) for f in findings)
-
-
-def test_ver006_uncovered_op_flagged() -> None:
-    findings = _critpath_findings('OP_ATTRIBUTION = {"Compute": "busy"}')
-    assert any("op Acquire has no OP_ATTRIBUTION entry" in f.message for f in findings)
-
-
-def test_ver006_dead_mapping_and_bad_class_flagged() -> None:
-    findings = _critpath_findings(
-        """
-        OP_ATTRIBUTION = {
-            "Compute": "busy",
-            "Acquire": "waiting-around",
-            "Ghost": "busy",
-        }
-        """
-    )
-    messages = [f.message for f in findings]
-    assert any("'Ghost'" in m and "dead mapping" in m for m in messages)
-    assert any("must be one of" in m for m in messages)
-
-
-def test_ver006_non_literal_key_flagged() -> None:
-    findings = _critpath_findings(
-        'OP_ATTRIBUTION = {Compute: "busy", "Acquire": "interference"}'
-    )
-    messages = [f.message for f in findings]
-    assert any("must be a string literal" in m for m in messages)
-    assert any("op Compute has no OP_ATTRIBUTION entry" in m for m in messages)
-
-
-def test_ver006_missing_mapping_dict_flagged() -> None:
-    findings = _critpath_findings("OTHER = 1")
-    assert any("OP_ATTRIBUTION dict literal not found" in f.message for f in findings)
-
-
-# ---------------------------------------------------------------------------
 # VER007: the differential battery names every batch_eval implementation.
 # ---------------------------------------------------------------------------
 
@@ -550,117 +423,138 @@ def test_finding_str_is_tool_style() -> None:
 
 
 # ---------------------------------------------------------------------------
-# VER009: real-backend events are metered and served live.
+# Retired rules VER005, VER006 and VER009.  They kept hand-written op and
+# event tables in sync; the tables are gone.  Each op class now declares
+# its metric and loss class (repro.sim.ops) and each event type its metric
+# (repro.obs.events.EVENT_TYPES).  These tests keep the rules' ids and pin
+# the same invariants on those declarations.
 # ---------------------------------------------------------------------------
 
-_EVENTS_SRC = _src(
-    """
-    EV_TASK_SUBMIT = "task-submit"
-    EV_TASK_RESULT = "task-result"
-    """
-)
 
-_REGISTRY_SRC = _src(
-    """
-    EVENT_METRICS = {
-        events.EV_TASK_SUBMIT: "tasks.submitted",
-        events.EV_TASK_RESULT: "tasks.completed",
-    }
-
-    def feed_event(registry, event):
-        pass
-
-    def aggregate(bus):
-        registry = None
-        for event in bus.events:
-            feed_event(registry, event)
-        return registry
-    """
-)
+def _declared_ops() -> list[type[Op]]:
+    # A class whose declaration raised is still linked into
+    # ``__subclasses__`` until the collector frees it.
+    gc.collect()
+    return Op.__subclasses__()
 
 
-def _ver009(parallel_src: str, registry_src: str = _REGISTRY_SRC):
-    from repro.verify.staticcheck import check_parallel_event_coverage
+def _ev_constants() -> set[str]:
+    return {value for name, value in vars(obs_events).items() if name.startswith("EV_")}
 
-    return check_parallel_event_coverage(
-        [("multiproc.py", _src(parallel_src))],
-        "events.py",
-        _EVENTS_SRC,
-        "registry.py",
-        registry_src,
-    )
+
+def test_ver005_full_coverage_passes() -> None:
+    metrics = [op.metric for op in _declared_ops()]
+    assert metrics and all(m.startswith("sim.ops.") for m in metrics)
+    assert len(set(metrics)) == len(metrics)
+    assert set(obs_events.EVENT_TYPES) == _ev_constants()
+    assert all(obs_events.EVENT_TYPES.values())
+
+
+def test_ver005_uncovered_op_flagged() -> None:
+    with pytest.raises(TypeError, match="metric"):
+
+        class Ghost(Op, loss="busy"):
+            pass
+
+
+def test_ver005_uncovered_event_and_dead_mappings_flagged() -> None:
+    bus = obs_events.EventBus(clock=lambda: 0.0)
+    with pytest.raises(ValueError, match="unknown event type"):
+        bus.emit("ghost")
+    assert bus.events == []
+    # Every declared type is an EV_* constant, and every constant declared.
+    assert _ev_constants() == set(obs_events.ALL_EVENT_TYPES)
+
+
+def test_ver005_missing_mapping_dict_flagged() -> None:
+    with pytest.raises(TypeError, match="metric.*loss"):
+
+        class Ghost(Op):
+            pass
+
+
+def test_ver006_full_coverage_passes() -> None:
+    assert {op.loss for op in _declared_ops()} <= set(LOSS_CLASSES)
+    assert {Compute.loss, Acquire.loss, Release.loss, WaitWork.loss} == set(LOSS_CLASSES)
+
+
+def test_ver006_uncovered_op_flagged() -> None:
+    with pytest.raises(TypeError, match="loss"):
+
+        class Ghost(Op, metric="sim.ops.ghost"):
+            pass
+
+
+def test_ver006_dead_mapping_and_bad_class_flagged() -> None:
+    with pytest.raises(TypeError, match="waiting-around"):
+
+        class Ghost(Op, metric="sim.ops.ghost", loss="waiting-around"):
+            pass
+
+
+def test_ver006_non_literal_key_flagged() -> None:
+    # Attribution follows each op's declared loss class, never its name:
+    # only a positive busy charge becomes a critical-path interval.
+    recorder = ScheduleRecorder()
+    p = probe.Probe(schedule=recorder)
+    p.dispatched(0, Compute(2.0, tag="expansion"), 1.0)
+    p.dispatched(0, Compute(0.0), 3.0)
+    p.dispatched(0, Acquire(SimLock("tree")), 3.0)
+    assert [(iv.kind, iv.start, iv.end, iv.tag) for iv in recorder.intervals] == [
+        ("busy", 1.0, 3.0, "expansion")
+    ]
+
+
+def test_ver006_missing_mapping_dict_flagged() -> None:
+    # A derived op declares its own metric and loss class; nothing is
+    # inherited silently.
+    with pytest.raises(TypeError):
+
+        class Sub(Compute):
+            pass
 
 
 def test_ver009_covered_emissions_pass() -> None:
-    findings = _ver009(
-        """
-        def run(bus):
-            bus.emit(_obs.EV_TASK_SUBMIT, kind="explore")
-            bus.emit(_obs.EV_TASK_RESULT, worker=0)
-        """
-    )
-    assert findings == []
+    problem = SearchProblem(RandomGameTree(3, 4, seed=5), depth=4)
+    with observing() as bus:
+        multiproc_er(problem, n_workers=1, config=ERConfig(serial_depth=1))
+    emitted = {event.etype for event in bus.events}
+    assert obs_events.EV_TASK_SUBMIT in emitted and obs_events.EV_TASK_RESULT in emitted
+    assert emitted <= set(obs_events.EVENT_TYPES)
 
 
 def test_ver009_undefined_event_flagged() -> None:
-    findings = _ver009(
-        """
-        def run(bus):
-            bus.emit(_obs.EV_TASK_CANCELLED, task=3)
-        """
-    )
-    assert any(
-        f.rule == "VER009" and "not defined in obs/events.py" in f.message
-        for f in findings
-    )
+    bus = obs_events.EventBus(clock=lambda: 0.0)
+    with pytest.raises(ValueError, match="task-cancelled"):
+        bus.emit("task-cancelled", task=3)
 
 
 def test_ver009_unmetered_event_flagged() -> None:
-    events_src = _EVENTS_SRC + 'EV_HEAP_WAIT = "heap-wait"\n'
-    from repro.verify.staticcheck import check_parallel_event_coverage
-
-    findings = check_parallel_event_coverage(
-        [("multiproc.py", _src("def run(bus):\n    bus.emit(EV_HEAP_WAIT)\n"))],
-        "events.py",
-        events_src,
-        "registry.py",
-        _REGISTRY_SRC,
-    )
-    assert any(
-        f.rule == "VER009" and "EVENT_METRICS has no entry" in f.message
-        for f in findings
-    )
+    for etype, metric in obs_events.EVENT_TYPES.items():
+        registry = MetricsRegistry()
+        feed_event(registry, obs_events.ObsEvent(etype, 0.0, 0))
+        assert registry.collect()[metric] == 1, etype
 
 
 def test_ver009_missing_feed_event_flagged() -> None:
-    registry_src = _src(
-        """
-        EVENT_METRICS = {
-            events.EV_TASK_SUBMIT: "tasks.submitted",
-            events.EV_TASK_RESULT: "tasks.completed",
-        }
-        """
-    )
-    findings = _ver009("def run(bus):\n    bus.emit(EV_TASK_RESULT)\n", registry_src)
-    assert any("defines no feed_event" in f.message for f in findings)
+    # The live feed and the post-hoc aggregation agree on a real run.
+    feed = LiveFeed()
+    problem = SearchProblem(RandomGameTree(3, 4, seed=5), depth=4)
+    with observing() as bus:
+        bus.attach_live(feed.on_event)
+        parallel_er(problem, 2, config=ERConfig(serial_depth=2))
+    post_hoc = aggregate(bus).collect()
+    for name, value in feed.collect().items():
+        assert post_hoc[name] == value, name
 
 
 def test_ver009_aggregate_bypassing_feed_event_flagged() -> None:
-    registry_src = _src(
-        """
-        EVENT_METRICS = {
-            events.EV_TASK_SUBMIT: "tasks.submitted",
-            events.EV_TASK_RESULT: "tasks.completed",
-        }
-
-        def feed_event(registry, event):
-            pass
-
-        def aggregate(bus):
-            return None
-        """
-    )
-    findings = _ver009("def run(bus):\n    bus.emit(EV_TASK_RESULT)\n", registry_src)
-    assert any(
-        "aggregate() does not call feed_event" in f.message for f in findings
-    )
+    bus = obs_events.EventBus(clock=lambda: 0.0)
+    bus.emit(obs_events.EV_TASK_SUBMIT, task=-1, path="0", kind="eval")
+    bus.emit(obs_events.EV_TASK_RESULT, task=-1, path="0", applied=True, duration=0.5, worker=0)
+    bus.count_op(Compute.metric)
+    by_feed = MetricsRegistry()
+    for event in bus.events:
+        feed_event(by_feed, event)
+    expected = {Compute.metric: 1, **by_feed.collect()}
+    assert aggregate(bus).collect() == expected
