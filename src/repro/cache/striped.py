@@ -40,7 +40,8 @@ so relying on it for exclusion would race.  Op generators acquire the
 SimLock (timing) and then the internal lock (safety); the internal locks
 are leaves — no other lock is ever taken while one is held — so they
 cannot introduce ordering cycles.  Cache ops must be issued with no heap
-or tree lock held (VER001 enforces this for the worker generators).
+or tree lock held (the flow analyser's VER101 flags a delegation made
+while holding one).
 """
 
 from __future__ import annotations

@@ -932,16 +932,19 @@ def _cmd_profile_service(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Run the concurrency-correctness toolkit end to end.
 
-    Four gates, in increasing cost: the invariant lint, the detector's
-    mutation-mode self-test, race analysis of fresh fixed-seed traces
-    from every backend, and (when mypy is importable) the strict typing
-    gate.  ``--deep`` adds the interprocedural flow analysis (lockset,
-    escape, lock order, protocol conformance) with its baseline gate
-    and seeded-mutation self-test.  Exit status 0 means every gate
-    passed.
+    Six gates: the invariant lint, the flow analysis (lockset, escape,
+    lock order, protocol conformance) with its baseline gate and
+    seeded-mutation self-test, the race detector's mutation-mode
+    self-test, race analysis of fresh fixed-seed traces from every
+    backend, and (when mypy is importable) the strict typing gate.
+    Exit status 0 means every gate passed.
     """
     from .errors import VerificationError
     from .verify import harness
+    from .verify.flow import analyze_repo, repo_root
+    from .verify.flow.baseline import BASELINE_NAME, filter_baselined, load_baseline
+    from .verify.flow.sarif import to_sarif_bytes
+    from .verify.flow.selftest import self_test as flow_self_test
     from .verify.racedetect import analyze, self_test
     from .verify.staticcheck import check_repo
     from .verify.trace import Event
@@ -956,6 +959,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         failed = True
     else:
         print("  OK: all invariants hold")
+
+    print("== flow analysis (repro.verify.flow) ==")
+    root = repo_root()
+    flow_findings = analyze_repo(root)
+    novel, baselined = filter_baselined(
+        flow_findings, load_baseline(root / BASELINE_NAME)
+    )
+    if args.sarif_out is not None:
+        args.sarif_out.parent.mkdir(parents=True, exist_ok=True)
+        args.sarif_out.write_bytes(to_sarif_bytes(flow_findings))
+        print(f"  SARIF report -> {args.sarif_out}")
+    for finding in novel:
+        print(f"  {finding}")
+    if novel:
+        failed = True
+    else:
+        suffix = f" ({len(baselined)} baselined)" if baselined else ""
+        print(f"  OK: no non-baselined findings{suffix}")
+
+    print("== flow analyzer self-test (seeded mutations) ==")
+    try:
+        killed, total = flow_self_test()
+    except VerificationError as exc:
+        failed = True
+        print(f"  {exc}")
+    else:
+        print(f"  OK: {killed}/{total} seeded concurrency bugs caught")
 
     print("== race detector self-test (mutation mode) ==")
     try:
@@ -982,43 +1012,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failed = True
             print(f"  {name}: {report.summary()}")
 
-    if args.deep:
-        print("== flow analysis (repro.verify.flow) ==")
-        from .verify.flow import analyze_repo, repo_root
-        from .verify.flow.baseline import (
-            BASELINE_NAME,
-            filter_baselined,
-            load_baseline,
-        )
-        from .verify.flow.sarif import to_sarif_bytes
-        from .verify.flow.selftest import self_test as flow_self_test
-
-        root = repo_root()
-        flow_findings = analyze_repo(root)
-        novel, baselined = filter_baselined(
-            flow_findings, load_baseline(root / BASELINE_NAME)
-        )
-        if args.sarif_out is not None:
-            args.sarif_out.parent.mkdir(parents=True, exist_ok=True)
-            args.sarif_out.write_bytes(to_sarif_bytes(flow_findings))
-            print(f"  SARIF report -> {args.sarif_out}")
-        for finding in novel:
-            print(f"  {finding}")
-        if novel:
-            failed = True
-        else:
-            suffix = f" ({len(baselined)} baselined)" if baselined else ""
-            print(f"  OK: no non-baselined findings{suffix}")
-
-        print("== flow analyzer self-test (seeded mutations) ==")
-        try:
-            killed, total = flow_self_test()
-        except VerificationError as exc:
-            failed = True
-            print(f"  {exc}")
-        else:
-            print(f"  OK: {killed}/{total} seeded concurrency bugs caught")
-
     if args.obs:
         print("== telemetry self-check (repro.obs) ==")
         from .obs import self_check
@@ -1037,7 +1030,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ImportError:
         print("  mypy not installed; skipped (the CI verify job enforces it)")
     else:
-        root = Path(__file__).resolve().parents[2]
         stdout, stderr, status = mypy_api.run(
             [
                 "--strict",
@@ -1446,17 +1438,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also self-check the telemetry pipeline (snapshot/trace/ledger)",
     )
     verify.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the interprocedural flow analysis (lockset/escape/"
-        "order/conformance) and its mutation self-test",
-    )
-    verify.add_argument(
         "--sarif-out",
         type=Path,
         default=None,
         metavar="PATH",
-        help="with --deep: write the flow findings as a SARIF 2.1.0 report",
+        help="write the flow findings as a SARIF 2.1.0 report",
     )
     verify.set_defaults(func=_cmd_verify)
     return parser

@@ -125,11 +125,11 @@ class _ThreadedDriver:
 
     def _check_order(self, held: list[str], acquiring: str) -> None:
         with self._order_lock:
-            conflict = self._order.record(held, acquiring)
-        if conflict is not None:
+            inverted = self._order.record(held, acquiring)
+        if inverted:
             raise LockOrderError(
                 f"thread {threading.current_thread().name} acquired "
-                f"{acquiring!r} while holding {conflict!r}, but the opposite "
+                f"{acquiring!r} while holding {inverted[0]!r}, but the opposite "
                 "nesting also occurs"
             )
 

@@ -142,10 +142,10 @@ class Engine:
                     f"worker {wid} re-acquired {lock.name!r} (non-reentrant)"
                 )
             inverted = self._lock_order.record(proc.held, lock.name)
-            if inverted is not None:
+            if inverted:
                 raise LockOrderError(
                     f"worker {wid} acquired {lock.name!r} while holding "
-                    f"{inverted!r}, but the opposite nesting also occurs"
+                    f"{inverted[0]!r}, but the opposite nesting also occurs"
                 )
             if lock.holder is None and not lock.waiters:
                 lock.holder = wid

@@ -85,12 +85,13 @@ class LockOrderGraph:
     """Global record of nested lock acquisitions.
 
     ``record(held, acquiring)`` adds one edge ``prior -> acquiring`` per
-    lock currently held and returns the name of a held lock that has
-    already been observed nested the *other* way round, or ``None`` when
-    the acquisition is consistent.  Two locks ever taken in both orders
+    lock currently held and returns every held lock that has already
+    been observed nested the *other* way round (empty when the
+    acquisition is consistent).  Two locks ever taken in both orders
     can deadlock under some interleaving even if this run got away with
-    it, so callers abort (the engine raises
-    :class:`~repro.errors.LockOrderError`) rather than merely warn.
+    it, so the engine and the threaded driver abort on the first
+    (raising :class:`~repro.errors.LockOrderError`) rather than merely
+    warn; the offline race detector reports each one.
     """
 
     def __init__(self) -> None:
@@ -108,12 +109,12 @@ class LockOrderGraph:
                     stack.append(nxt)
         return False
 
-    def record(self, held: Iterable[str], acquiring: str) -> Optional[str]:
-        conflict: Optional[str] = None
+    def record(self, held: Iterable[str], acquiring: str) -> list[str]:
+        inverted: list[str] = []
         for prior in held:
             if prior == acquiring:
                 continue
-            if conflict is None and self._reaches(acquiring, prior):
-                conflict = prior
+            if self._reaches(acquiring, prior):
+                inverted.append(prior)
             self._after.setdefault(prior, set()).add(acquiring)
-        return conflict
+        return inverted

@@ -17,43 +17,22 @@ coordinated passes (DESIGN.md "Verification"):
   :func:`~repro.verify.racedetect.self_test` runs in *mutation mode*:
   it deletes a lock acquisition from a known-clean trace and fails loudly
   unless the detector flags the resulting race.
-* :mod:`repro.verify.staticcheck` — an AST lint enforcing the repo's
-  concurrency and determinism invariants (locked shared mutations,
-  engine accounting coverage of every sim op, no wall clock or unseeded
-  randomness in ``sim``/``core``, picklable-by-construction multiproc
-  boundary, sanctioned clock/RNG seams).
-* :mod:`repro.verify.flow` — the whole-program companion: an
+* :mod:`repro.verify.flow` — the static side of the lock protocol: an
   interprocedural lockset + shared-state escape analysis over the
   parallel engine, its queues, and the cache subsystems, with
-  lock-order cycle detection, protocol-conformance summaries, SARIF
-  export, and a committed finding baseline.  Run via
-  ``repro-gametree verify --deep``.
+  lock-order cycle detection, protocol-conformance checks, a
+  seeded-mutation self-test, SARIF export, and a committed finding
+  baseline.
+* :mod:`repro.verify.staticcheck` — an AST lint for the per-file
+  invariants the flow analysis does not see: a picklable multiproc
+  boundary, eval-parity test coverage, and determinism through
+  sanctioned clock/RNG seams.
 
 Everything is runnable three ways: ``repro-gametree verify`` from a
 shell, ``pytest tests/test_verify_*.py`` locally, and the ``verify`` CI
 job on every push (which adds ``mypy --strict`` and ``ruff``).
+
+The package imports none of its submodules: the runtime imports
+:mod:`repro.verify.trace` on every instrumented path, and must not pay
+for loading the analysers.
 """
-
-from __future__ import annotations
-
-from .flow import FlowFinding, analyze_repo, analyze_sources
-from .racedetect import Finding, RaceDetector, RaceReport, analyze, self_test
-from .staticcheck import LintFinding, check_file, check_repo
-from .trace import Event, TraceRecorder, tracing
-
-__all__ = [
-    "Event",
-    "TraceRecorder",
-    "tracing",
-    "Finding",
-    "FlowFinding",
-    "RaceDetector",
-    "RaceReport",
-    "analyze",
-    "analyze_repo",
-    "analyze_sources",
-    "self_test",
-    "LintFinding",
-    "check_file",
-    "check_repo",
-]

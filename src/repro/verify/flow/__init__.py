@@ -1,15 +1,16 @@
 """Whole-program concurrency analyzer for the parallel ER engine.
 
-``repro.verify.flow`` is the interprocedural companion to the
-per-function lints in :mod:`repro.verify.staticcheck`: it builds a
-project index over the parallel engine, its queues, and the striped
-cache store, then abstractly interprets the worker generators —
-locksets across helper calls and generator delegation (VER101/VER105),
-the lock-acquisition-order graph (VER103), a static Eraser-style
-shared-write guard discipline (VER102), and charge/protocol
-conformance for the simulated ops (VER104).
+``repro.verify.flow`` is the one static check of the problem heap's
+locking protocol (DESIGN.md §6): it builds a project index over the
+parallel engine, its queues, and the striped cache store, then
+abstractly interprets the worker generators — locksets across helper
+calls and generator delegation (VER101/VER105), the
+lock-acquisition-order graph (VER103), a static Eraser-style
+shared-write guard discipline in which tree-node state needs the tree
+lock (VER102), and charge/protocol conformance for the simulated ops
+(VER104).
 
-Run it via ``repro-gametree verify --deep``, pre-commit, or directly::
+Run it via ``repro-gametree verify``, pre-commit, or directly::
 
     PYTHONPATH=src python -m repro.verify.flow [--sarif out.sarif]
 

@@ -46,7 +46,7 @@ ANALYZED_MODULES: tuple[str, ...] = (
 
 #: Functions/methods the interpreter never enters and never checks.
 #: Each is a documented exemption from the lock contracts (see the
-#: staticcheck module docstring and the functions' own docstrings):
+#: functions' own docstrings):
 #: ``expand_positions`` (pop-time node ownership), the telemetry and
 #: trace reporters, the relaxed contention counter, the WorkSignal
 #: broadcast, and constructors (single-threaded setup).

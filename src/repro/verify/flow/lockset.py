@@ -1,6 +1,6 @@
 """Interprocedural lockset + escape abstract interpretation.
 
-One combined walk computes everything the per-function lints cannot:
+One combined walk checks the whole locking protocol:
 
 * **Lockset (VER101/VER105)** — the set of canonical lock tokens held
   is threaded through every statement, across helper calls (summaries)
@@ -15,8 +15,8 @@ One combined walk computes everything the per-function lints cannot:
 * **Escape analysis (VER102)** — sharedness seeds from the entry
   points' ``ctx`` parameter and flows through attribute chains,
   subscripts, unpacking, and call summaries; every write to a shared
-  attribute is recorded with the held lock *categories* and aggregated
-  by :mod:`.escape`.
+  attribute is recorded with the held lock *categories*, and whether it
+  goes to a tree node, and aggregated by :mod:`.escape`.
 * **Charge discipline (VER104)** — a heap-category critical section
   that performs queue work must also yield a ``Compute``: dropping the
   charge would make heap traffic free in simulated time and silently
@@ -616,12 +616,15 @@ class _FunctionInterp(StructuredWalker):
         if attribute is None or not self.is_shared(attribute.value):
             return
         base = attribute.value
-        if (
+        # Through the first parameter (a method's receiver, a helper's
+        # run context) the write is to the owner's own state; through
+        # anything else it is to a tree node.
+        own = (
             isinstance(base, ast.Name)
-            and self.info.params
+            and bool(self.info.params)
             and base.id == self.info.params[0]
-            and self.info.cls is not None
-        ):
+        )
+        if own and self.info.cls is not None:
             location = f"{self.info.cls}.{attribute.attr}"
         else:
             location = attribute.attr
@@ -632,6 +635,7 @@ class _FunctionInterp(StructuredWalker):
                 line=target.lineno,
                 function=self.info.qualname,
                 categories=frozenset(lock_category(t) for t in state.held),
+                node=not own,
             )
         )
 

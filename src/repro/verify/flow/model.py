@@ -28,10 +28,11 @@ RULES: dict[str, tuple[str, str]] = {
     "VER102": (
         "shared-write-guard",
         "A write to a shared attribute (reachable from the worker's "
-        "shared context) happens outside any lock, or the set of lock "
+        "shared context) happens outside any lock; the set of lock "
         "categories guarding the attribute across all write sites has an "
         "empty intersection — the static twin of an Eraser lockset "
-        "violation.",
+        "violation; or a tree node's attribute is written without the "
+        "tree lock.",
     ),
     "VER103": (
         "lock-order-cycle",
@@ -43,8 +44,7 @@ RULES: dict[str, tuple[str, str]] = {
     "VER104": (
         "protocol-conformance",
         "A simulator-protocol totality violation: an op kind reachable "
-        "from the workers that the engine, metrics registry, or "
-        "critical-path attribution cannot name; a Compute yielded "
+        "from the workers that has no Engine._handle arm; a Compute yielded "
         "without a cost tag, or with a tag outside the CostModel/"
         "critical-path vocabulary; or a heap critical section that "
         "performs queue work without charging simulated time.",

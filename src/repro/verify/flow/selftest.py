@@ -8,7 +8,7 @@ each a textual mutation of a known-clean exemplar (or of the *real*
 ``er_parallel.py`` source) paired with the rule that must fire — and
 ``self_test()`` asserts the analyzer kills them.
 
-Run via ``repro-gametree verify --deep``, the test suite, or::
+Run via ``repro-gametree verify``, the test suite, or::
 
     PYTHONPATH=src python -m repro.verify.flow.selftest
 """
@@ -353,6 +353,45 @@ MUTATIONS: tuple[Mutation, ...] = (
                 "            yield Compute(cm.heap_op, tag=\"heap_op\")\n"
                 "            node, from_spec = ctx.pop_work()\n",
                 "            node, from_spec = ctx.pop_work()\n",
+            ),
+        ),
+    ),
+    Mutation(
+        name="real:store-node-attribute-outside-lock",
+        expected_rule="VER102",
+        target="src/repro/core/er_parallel.py",
+        replacements=(
+            (
+                "            ctx._note(node, WRITE)\n"
+                "            node.next_child = index + 1\n"
+                "        yield Release(ctx.tree_lock)\n",
+                "            ctx._note(node, WRITE)\n"
+                "        yield Release(ctx.tree_lock)\n"
+                "        if survived:\n"
+                "            node.next_child = index + 1\n",
+            ),
+        ),
+    ),
+    Mutation(
+        # speculative_step now runs under the heap lock: its node writes
+        # hold the wrong guard.
+        name="real:tree-method-under-heap-lock",
+        expected_rule="VER102",
+        target="src/repro/core/er_parallel.py",
+        replacements=(
+            (
+                "    yield Acquire(ctx.tree_lock)\n"
+                "    yield Compute(cm.bookkeeping, tag=\"bookkeeping\","
+                " node=_cp_path(node), cls=node.ntype)\n"
+                "    pushes: list[tuple[str, PNode]] = []\n"
+                "    ctx.speculative_step(node, pushes)\n"
+                "    yield Release(ctx.tree_lock)\n",
+                "    yield Acquire(ctx.heap_lock)\n"
+                "    yield Compute(cm.bookkeeping, tag=\"bookkeeping\","
+                " node=_cp_path(node), cls=node.ntype)\n"
+                "    pushes: list[tuple[str, PNode]] = []\n"
+                "    ctx.speculative_step(node, pushes)\n"
+                "    yield Release(ctx.heap_lock)\n",
             ),
         ),
     ),

@@ -9,11 +9,11 @@ Two things live here:
   lockset, queue traffic, simulated-time charges, sharedness of its
   return value) at every other call site for free.
 
-* **Protocol conformance** — the call-graph-aware lift of the VER002
-  lint: instead of "every Op subclass has an arm somewhere", these
-  checks start from the op kinds *actually yielded* by the analyzed
-  worker code and verify that each one is handled by
-  ``Engine._handle``; and that every ``Compute`` carries a cost tag
+* **Protocol conformance** — these checks start from the op kinds
+  *actually yielded* by the analyzed worker code and verify that each
+  one is handled by ``Engine._handle`` (an op the engine does not know
+  raises ``WorkerProtocolError`` at run time; this finds it before any
+  run); and that every ``Compute`` carries a cost tag
   drawn from the declared vocabulary (``CostModel`` field names, the
   what-if profiler's ``PRIMITIVE_FIELDS``, and the serial chunk tag) —
   an op or tag outside these would silently corrupt the loss

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..errors import VerificationError
+from ..sim.locks import LockOrderGraph
 from .trace import ACQUIRE, NOTIFY, READ, RELEASE, WAIT, WAKE, WRITE, Event
 
 #: Location-name prefix whose accesses are checked by happens-before only
@@ -145,8 +146,7 @@ class RaceDetector:
         self._signal_vc: dict[str, _VC] = {}
         self._held: dict[int, list[str]] = {}
         self._shadow: dict[str, _Shadow] = {}
-        # acquisition-order edges: before -> set of after
-        self._order: dict[str, set[str]] = {}
+        self._order = LockOrderGraph()
         self._order_reported: set[frozenset[str]] = set()
         self.findings: list[Finding] = []
         self._events = 0
@@ -166,16 +166,6 @@ class RaceDetector:
 
     # -- per-kind handlers ----------------------------------------------
 
-    def _reaches(self, start: str, goal: str, seen: set[str]) -> bool:
-        if start == goal:
-            return True
-        for nxt in self._order.get(start, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                if self._reaches(nxt, goal, seen):
-                    return True
-        return False
-
     def _on_acquire(self, ev: Event) -> None:
         held = self._held.setdefault(ev.task, [])
         if ev.obj in held:
@@ -187,26 +177,21 @@ class RaceDetector:
                     f"task {ev.task} re-acquired non-reentrant lock {ev.obj!r}",
                 )
             )
-        for prior in held:
-            if prior == ev.obj:
-                continue
-            # Inversion: we are adding prior -> obj while obj ->* prior exists.
+        for prior in self._order.record(held, ev.obj):
             pair = frozenset((prior, ev.obj))
-            if pair not in self._order_reported and self._reaches(
-                ev.obj, prior, {ev.obj}
-            ):
-                self._order_reported.add(pair)
-                self.findings.append(
-                    Finding(
-                        "lock-order",
-                        f"{prior} vs {ev.obj}",
-                        (ev.task,),
-                        f"task {ev.task} acquired {ev.obj!r} while holding "
-                        f"{prior!r}, but the opposite order also occurs: "
-                        "potential deadlock",
-                    )
+            if pair in self._order_reported:
+                continue
+            self._order_reported.add(pair)
+            self.findings.append(
+                Finding(
+                    "lock-order",
+                    f"{prior} vs {ev.obj}",
+                    (ev.task,),
+                    f"task {ev.task} acquired {ev.obj!r} while holding "
+                    f"{prior!r}, but the opposite order also occurs: "
+                    "potential deadlock",
                 )
-            self._order.setdefault(prior, set()).add(ev.obj)
+            )
         held.append(ev.obj)
         _join(self._vc(ev.task), self._lock_vc.get(ev.obj, {}))
         self._tick(ev.task)

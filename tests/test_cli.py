@@ -192,13 +192,15 @@ class TestVerify:
         assert "verify: OK" in out
 
     def test_verify_deep_args(self):
-        args = build_parser().parse_args(["verify", "--fast", "--deep"])
-        assert args.deep is True
-        assert args.sarif_out is None
+        # The flow analysis always runs; its old opt-in flag is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "--fast", "--deep"])
 
     def test_verify_command_deep(self, capsys, tmp_path):
+        # The whole-program flow analysis and its self-test run on every
+        # verify, and ``--sarif-out`` writes its findings.
         sarif = tmp_path / "flow.sarif"
-        assert main(["verify", "--fast", "--deep", "--sarif-out", str(sarif)]) == 0
+        assert main(["verify", "--fast", "--sarif-out", str(sarif)]) == 0
         out = capsys.readouterr().out
         assert "no non-baselined findings" in out
         assert "seeded concurrency bugs caught" in out

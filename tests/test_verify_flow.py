@@ -52,6 +52,18 @@ def test_repo_analysis_is_not_vacuous() -> None:
     assert any("_sim_locks" in h for h, _ in analysis.order_edges)
 
 
+def test_repo_node_writes_hold_the_tree_lock() -> None:
+    """Every write to a tree node's attribute holds the tree lock, so
+    the node-off-tree rule keeps the real tree clean for a reason."""
+    analysis = Analysis(load_project(repo_root()))
+    analysis.run()
+    node_writes = [w for w in analysis.writes if w.node]
+    assert {"value", "done", "on_spec"} <= {w.location for w in node_writes}
+    assert all("tree" in w.categories for w in node_writes), node_writes
+    # The owners' own state (queues, counters) is not node state.
+    assert not any(w.node for w in analysis.writes if "." in w.location)
+
+
 # ---------------------------------------------------------------------------
 # the historical on_spec race (regression fixture)
 

@@ -174,8 +174,11 @@ def test_multiproc_trace_is_clean() -> None:
 
 def test_lock_order_graph_reports_inversion() -> None:
     graph = LockOrderGraph()
-    assert graph.record(["A"], "B") is None
-    assert graph.record(["B"], "A") == "B"
+    assert graph.record(["A"], "B") == []
+    assert graph.record(["B"], "A") == ["B"]
+    # Every inverted prior is returned, not just the first.
+    assert graph.record(["C"], "A") == []
+    assert graph.record(["A", "B", "D"], "C") == ["A", "B"]
 
 
 def test_sim_engine_aborts_on_lock_order_inversion() -> None:

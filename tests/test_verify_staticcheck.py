@@ -7,8 +7,10 @@ a planted violation.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +25,11 @@ from repro.obs.registry import MetricsRegistry, feed_event
 from repro.parallel.multiproc import multiproc_er
 from repro.sim.locks import SimLock
 from repro.sim.ops import LOSS_CLASSES, Acquire, Compute, Op, Release, WaitWork
+from repro.verify.flow import analyze_sources
 from repro.verify.staticcheck import (
     LintFinding,
     check_eval_parity_coverage,
     check_file,
-    check_lock_discipline,
     check_repo,
 )
 
@@ -47,130 +49,114 @@ def test_repo_is_clean() -> None:
 
 
 # ---------------------------------------------------------------------------
-# VER001: lock discipline in worker generators.
+# The retired VER001 (per-function lock discipline) fixtures.  The flow
+# analyser is the one check of the locking protocol now; each fixture is
+# a whole-program source shaped like the real worker, which gets its
+# nodes from ``ctx`` and takes ``(ctx, stats, pid)``.  The tests keep
+# their ids.
 # ---------------------------------------------------------------------------
 
 
+def _flow(body: str) -> list[tuple[str, str]]:
+    findings = analyze_sources({"er_parallel.py": _src(body)})
+    return [(f.rule, f.signature) for f in findings]
+
+
 def test_ver001_unlocked_attribute_store() -> None:
-    source = _src(
+    findings = _flow(
         """
-        def _worker(ctx, node):
+        def _worker(ctx, stats, pid=0):
+            node = ctx.pop_work()
             yield Compute(1.0)
             node.done = True
         """
     )
-    findings = check_lock_discipline("er_parallel.py", source)
-    assert any("no lock held" in f.message for f in findings)
+    assert findings == [("VER102", "unguarded:done")]
 
 
 def test_ver001_locked_store_is_fine() -> None:
-    source = _src(
+    findings = _flow(
         """
-        def _worker(ctx, node):
+        def _worker(ctx, stats, pid=0):
+            node = ctx.pop_work()
             yield Acquire(ctx.tree_lock)
             node.done = True
             yield Release(ctx.tree_lock)
         """
     )
-    assert check_lock_discipline("er_parallel.py", source) == []
+    assert findings == []
 
 
 def test_ver001_generator_exits_holding_lock() -> None:
-    source = _src(
+    findings = _flow(
         """
-        def _worker(ctx):
+        def _worker(ctx, stats, pid=0):
             yield Acquire(ctx.tree_lock)
             yield Compute(1.0)
         """
     )
-    findings = check_lock_discipline("er_parallel.py", source)
-    assert any("can finish still holding" in f.message for f in findings)
+    assert findings == [("VER101", "exit-imbalance:tree_lock")]
 
 
 def test_ver001_release_without_acquire() -> None:
-    source = _src(
+    findings = _flow(
         """
-        def _worker(ctx):
+        def _worker(ctx, stats, pid=0):
             yield Release(ctx.tree_lock)
         """
     )
-    findings = check_lock_discipline("er_parallel.py", source)
-    assert any("without acquiring" in f.message for f in findings)
+    assert findings == [("VER101", "release-unheld:tree_lock")]
 
 
 def test_ver001_wait_while_holding_lock() -> None:
-    source = _src(
+    findings = _flow(
         """
-        def _worker(ctx):
+        def _worker(ctx, stats, pid=0):
             yield Acquire(ctx.heap_lock)
             yield WaitWork(ctx.signal)
             yield Release(ctx.heap_lock)
         """
     )
-    findings = check_lock_discipline("er_parallel.py", source)
-    assert any("deadlock" in f.message for f in findings)
+    assert findings == [("VER105", "wait-holding:heap_lock")]
 
 
 def test_ver001_branches_must_agree_on_held_locks() -> None:
-    source = _src(
+    findings = _flow(
         """
-        def _worker(ctx, flag):
-            if flag:
+        def _worker(ctx, stats, pid=0):
+            if ctx.flag:
                 yield Acquire(ctx.tree_lock)
             else:
                 yield Compute(1.0)
             yield Compute(1.0)
         """
     )
-    findings = check_lock_discipline("er_parallel.py", source)
-    assert any("branches disagree" in f.message for f in findings)
+    assert ("VER101", "divergence:tree_lock|") in findings
 
 
 def test_ver001_tree_method_needs_tree_lock() -> None:
-    source = _src(
+    # One call site, under the heap lock alone: every write to the node
+    # agrees on its guard, but the guard is not the tree lock.  The rule
+    # comes from the writes, not from a table of method names.
+    findings = _flow(
         """
-        def _worker(ctx, node, stats):
+        class _Context:
+            def combine(self, node, pushes):
+                node.value = max(node.value, 0)
+                node.done = True
+                return 1
+
+        def _worker(ctx, stats, pid=0):
             yield Acquire(ctx.heap_lock)
-            ctx.combine(node, stats)
+            node = ctx.pop_work()
+            ctx.combine(node, [])
             yield Release(ctx.heap_lock)
         """
     )
-    findings = check_lock_discipline("er_parallel.py", source)
-    assert any("without the tree lock" in f.message for f in findings)
-
-
-# ---------------------------------------------------------------------------
-# VER003: determinism (no wall clock, no unseeded randomness).
-# ---------------------------------------------------------------------------
-
-
-def test_ver003_wall_clock_flagged() -> None:
-    source = _src(
-        """
-        import time
-
-        def cost():
-            return time.time()
-        """
-    )
-    findings = check_file("sim/fake.py", source=source, rules={"VER003"})
-    assert any(f.rule == "VER003" and "wall-clock" in f.message for f in findings)
-
-
-def test_ver003_unseeded_randomness_flagged_seeded_allowed() -> None:
-    source = _src(
-        """
-        import random
-
-        def jitter():
-            return random.random()
-
-        def rng(seed):
-            return random.Random(seed)
-        """
-    )
-    findings = check_file("core/fake.py", source=source, rules={"VER003"})
-    assert len(findings) == 1 and "unseeded" in findings[0].message
+    assert findings == [
+        ("VER102", "node-off-tree:value:heap"),
+        ("VER102", "node-off-tree:done:heap"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +295,49 @@ def test_ver007_class_without_batch_eval_ignored() -> None:
 
 
 # ---------------------------------------------------------------------------
-# VER008: wall clock / randomness only through sanctioned seams.
+# VER008: determinism — wall clock / randomness only through sanctioned
+# seams, in sim/, core/, obs/ and cache/.
 # ---------------------------------------------------------------------------
 
 
+def test_ver008_wall_clock_call_in_cache_flagged(tmp_path: Path) -> None:
+    source = _src(
+        """
+        import time
+
+        def stamp(entry):
+            entry.at = time.time()
+        """
+    )
+    module = tmp_path / "src" / "repro" / "cache" / "fake.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(source)
+    findings = check_repo(str(tmp_path))
+    assert [(f.rule, Path(f.path).name, f.line) for f in findings] == [
+        ("VER008", "fake.py", 4)
+    ]
+    assert "time.time" in findings[0].message
+
+
+def test_ver008_unseeded_random_instance_flagged() -> None:
+    source = _src(
+        """
+        import random
+
+        def rng():
+            return random.Random()
+
+        def seeded(seed):
+            return random.Random(seed), random.Random(x=seed)
+        """
+    )
+    findings = check_file("core/fake.py", source=source, rules={"VER008"})
+    assert [(f.rule, f.line) for f in findings] == [("VER008", 4)]
+    assert "pass it a seed" in findings[0].message
+
+
 def test_ver008_bare_clock_reference_flagged() -> None:
-    # VER003 only catches *calls*; a stored default must trip VER008.
+    # A stored default clock is nondeterminism deferred, not avoided.
     source = _src(
         """
         import time
@@ -326,7 +349,6 @@ def test_ver008_bare_clock_reference_flagged() -> None:
     findings = check_file("sim/fake.py", source=source, rules={"VER008"})
     assert [f.rule for f in findings] == ["VER008"]
     assert "time.perf_counter" in findings[0].message
-    assert check_file("sim/fake.py", source=source, rules={"VER003"}) == []
 
 
 def test_ver008_random_call_flagged_seeded_random_allowed() -> None:
@@ -370,33 +392,9 @@ def test_ver008_sanctioned_seams_allowed() -> None:
     assert [f.rule for f in findings] == ["VER008"]
 
 
-def test_ver008_pragma_suppression() -> None:
-    source = _src(
-        """
-        import time
-
-        def stamp():
-            return time.time()  # verify: ok
-        """
-    )
-    assert check_file("obs/fake.py", source=source, rules={"VER008"}) == []
-
-
 # ---------------------------------------------------------------------------
-# Pragmas and rule inference.
+# Rule inference.
 # ---------------------------------------------------------------------------
-
-
-def test_pragma_suppresses_a_finding() -> None:
-    source = _src(
-        """
-        import time
-
-        def cost():
-            return time.time()  # verify: ok
-        """
-    )
-    assert check_file("sim/fake.py", source=source, rules={"VER003"}) == []
 
 
 def test_rules_inferred_from_filename() -> None:
@@ -404,22 +402,22 @@ def test_rules_inferred_from_filename() -> None:
         """
         import time
 
-        def _worker(ctx, node):
-            yield Compute(1.0)
-            node.done = time.time()
+        def run(pool):
+            pool.submit(lambda: None)
+            return time.time()
         """
     )
-    # er_parallel.py gets VER001 + VER003 by inference.
+    # Deterministic code gets VER008 by inference.
     rules = {f.rule for f in check_file("er_parallel.py", source=source)}
-    assert rules == {"VER001", "VER003"}
-    # multiproc files get VER004 and shed VER003 (coordinator measures wall time).
-    mp = check_file("multiproc.py", source=source)
-    assert all(f.rule != "VER003" for f in mp)
+    assert rules == {"VER008"}
+    # Multiproc files get VER004 only (the coordinator measures wall time).
+    rules = {f.rule for f in check_file("multiproc.py", source=source)}
+    assert rules == {"VER004"}
 
 
 def test_finding_str_is_tool_style() -> None:
-    finding = LintFinding("VER001", "er_parallel.py", 12, "boom")
-    assert str(finding) == "er_parallel.py:12: VER001: boom"
+    finding = LintFinding("VER008", "engine.py", 12, "boom")
+    assert str(finding) == "engine.py:12: VER008: boom"
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +425,9 @@ def test_finding_str_is_tool_style() -> None:
 # event tables in sync; the tables are gone.  Each op class now declares
 # its metric and loss class (repro.sim.ops) and each event type its metric
 # (repro.obs.events.EVENT_TYPES).  These tests keep the rules' ids and pin
-# the same invariants on those declarations.
+# the same invariants on those declarations.  The op half of retired
+# VER002 (every op a frozen dataclass) rides on the first of them; its
+# engine-arm half is the flow analyser's VER104.
 # ---------------------------------------------------------------------------
 
 
@@ -443,6 +443,11 @@ def _ev_constants() -> set[str]:
 
 
 def test_ver005_full_coverage_passes() -> None:
+    # Frozen: a worker cannot mutate an op after yielding it.
+    assert all(
+        dataclasses.is_dataclass(op) and op.__dataclass_params__.frozen  # type: ignore[attr-defined]
+        for op in _declared_ops()
+    )
     metrics = [op.metric for op in _declared_ops()]
     assert metrics and all(m.startswith("sim.ops.") for m in metrics)
     assert len(set(metrics)) == len(metrics)
