@@ -74,15 +74,13 @@ def record_ledger():
     root = RESULTS_DIR.parent.parent
     directory = root / "results" / "ledger"
 
-    def write(snap, *, workload, scale, seed=None, config=None, service=None, latency=None):
+    def write(snap, *, workload, scale, seed=None, config=None):
         record = ledger.make_record(
             snap,
             workload=workload,
             scale=scale,
             seed=seed,
             config=config,
-            service=service,
-            latency=latency,
         )
         problems = ledger.validate_record(record)
         assert problems == [], "\n".join(problems)

@@ -756,25 +756,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return asyncio.run(run())
 
 
-def _cmd_bench_traffic(args: argparse.Namespace) -> int:
-    """Measure serving throughput: warm shared caches vs a cold start.
+def _cmd_profile_service(args: argparse.Namespace) -> int:
+    """Where do the service's milliseconds go, stage by stage?
 
-    In-process by default: one service, the same deterministic trace
-    served twice — the first pass hits cold tables, the second runs
-    entirely warm — so the delta isolates what the persistent shared
-    TT/eval-cache buys.  ``--connect`` instead drives one pass against
-    an already-running ``repro-gametree serve`` over TCP.
+    Replays one deterministic traffic trace, prints the traffic summary
+    plus the p50/p95/p99 stage-decomposition table, and exits nonzero
+    if any reply's decomposition fails to conserve.  In-process by
+    default, with request tracing on: it also checks the run's snapshot
+    accounting, optionally exports the per-request Perfetto tracks,
+    and (with ``--ledger-dir``) records the run's ``latency`` block so
+    ``repro-gametree compare`` can flag a single stage regressing even
+    when the end-to-end tail holds.  ``--connect`` drives an
+    already-running ``repro-gametree serve`` over TCP instead, and
+    ``--shutdown`` then asks it to drain.
     """
     import asyncio
 
-    from .serve import SearchService, TrafficSpec, generate_trace, suite_catalog
+    from dataclasses import replace as _dc_replace
+
+    from .obs import export, ledger
+    from .serve import SearchService, suite_catalog
     from .serve.traffic import (
+        TrafficReport,
+        TrafficSpec,
+        generate_trace,
+        latency_fields,
         render_decomposition,
         run_trace,
         run_trace_client,
         service_snapshot,
     )
 
+    if args.connect is None and args.shutdown:
+        print("--shutdown needs --connect", file=sys.stderr)
+        return 2
+    if args.connect is not None and (args.trace_out or args.ledger_dir):
+        print("--trace-out and --ledger-dir need an in-process service", file=sys.stderr)
+        return 2
     spec = TrafficSpec(
         workloads=tuple(args.workloads),
         n_requests=args.requests,
@@ -784,6 +802,20 @@ def _cmd_bench_traffic(args: argparse.Namespace) -> int:
     )
     catalog = suite_catalog(args.scale)
     trace = generate_trace(spec, catalog)
+
+    def print_report(report: TrafficReport, title: str) -> int:
+        print(report.render(title))
+        print()
+        print(render_decomposition(report.replies, "latency decomposition"))
+        conservation = [
+            problem
+            for reply in report.replies
+            if reply.timing is not None
+            for problem in reply.timing.conservation_problems()
+        ]
+        for problem in conservation:
+            print(f"conservation problem: {problem}", file=sys.stderr)
+        return 1 if conservation else 0
 
     if args.connect is not None:
         from .serve.client import ServiceClient
@@ -796,73 +828,16 @@ def _cmd_bench_traffic(args: argparse.Namespace) -> int:
         async def run_remote() -> int:
             async with ServiceClient(host, int(port_text)) as client:
                 report = await run_trace_client(client, trace)
-                print(report.render(f"remote traffic ({args.connect})"))
-                print()
-                print(
-                    render_decomposition(report.replies, "latency decomposition")
+                exit_code = print_report(
+                    report, f"profile-service (seed {args.seed}, {args.connect})"
                 )
                 if args.shutdown:
                     await client.shutdown_server()
                     print("sent shutdown; server is draining")
-            return 0
+            return exit_code
 
         return asyncio.run(run_remote())
 
-    config = _serve_config(args)
-
-    async def run_local() -> int:
-        async with SearchService(config, catalog=catalog) as service:
-            cold = await run_trace(service, trace)
-            warm = await run_trace(service, trace)
-            print(cold.render("cold start (empty shared caches)"))
-            print()
-            print(warm.render("warm (same trace, caches populated)"))
-            ratio = warm.rps / cold.rps if cold.rps > 0 else float("inf")
-            print(f"\nwarm/cold throughput ratio: {ratio:.2f}x")
-            print()
-            print(render_decomposition(warm.replies, "warm latency decomposition"))
-            snap = service_snapshot(service, warm, workload=f"traffic-{args.seed}")
-            problems = snap.check_accounting()
-            for problem in problems:
-                print(f"accounting problem: {problem}", file=sys.stderr)
-            return 1 if problems else 0
-
-    return asyncio.run(run_local())
-
-
-def _cmd_profile_service(args: argparse.Namespace) -> int:
-    """Where do the service's milliseconds go, stage by stage?
-
-    Replays one deterministic traffic trace through an in-process
-    service with request tracing on, prints the traffic summary plus the
-    p50/p95/p99 stage-decomposition table, optionally exports the
-    per-request Perfetto tracks, and (with ``--ledger-dir``) records the
-    run — ``service`` *and* ``latency`` blocks — so ``repro-gametree
-    compare`` can flag a single stage regressing even when the
-    end-to-end tail holds.
-    """
-    import asyncio
-
-    from dataclasses import replace as _dc_replace
-
-    from .obs import export, ledger
-    from .serve import SearchService, TrafficSpec, generate_trace, suite_catalog
-    from .serve.traffic import (
-        latency_fields,
-        render_decomposition,
-        run_trace,
-        service_snapshot,
-    )
-
-    spec = TrafficSpec(
-        workloads=tuple(args.workloads),
-        n_requests=args.requests,
-        seed=args.seed,
-        max_depth=args.depth,
-        repeat_fraction=args.repeat,
-    )
-    catalog = suite_catalog(args.scale)
-    trace = generate_trace(spec, catalog)
     config = _serve_config(args)
     if config.trace_mode == "off":
         # Worker spans are the point of the profile; default them on.
@@ -871,24 +846,13 @@ def _cmd_profile_service(args: argparse.Namespace) -> int:
     async def run() -> int:
         async with SearchService(config, catalog=catalog) as service:
             report = await run_trace(service, trace)
-            print(report.render(f"profile-service (seed {args.seed})"))
-            print()
-            print(render_decomposition(report.replies, "latency decomposition"))
-            exit_code = 0
+            exit_code = print_report(report, f"profile-service (seed {args.seed})")
             snap = service_snapshot(service, report, workload=f"traffic-{args.seed}")
             for problem in snap.check_accounting():
                 print(f"accounting problem: {problem}", file=sys.stderr)
                 exit_code = 1
-            stored = service.traces.traces()
-            conservation = [
-                problem
-                for stored_trace in stored
-                for problem in stored_trace.timing.conservation_problems()
-            ]
-            for problem in conservation:
-                print(f"conservation problem: {problem}", file=sys.stderr)
-                exit_code = 1
             if args.trace_out is not None:
+                stored = service.traces.traces()
                 pool = service.pool
                 worker_spans = (
                     {t.request_id: pool.request_spans(t.request_id) for t in stored}
@@ -916,7 +880,6 @@ def _cmd_profile_service(args: argparse.Namespace) -> int:
                         "eval_cache": config.eval_cache_mode,
                         "trace": config.trace_mode,
                     },
-                    service=ledger.service_block(**report.service_fields()),  # type: ignore[arg-type]
                     latency=ledger.latency_block(**latency_fields(report.replies)),  # type: ignore[arg-type]
                 )
                 problems = ledger.validate_record(record)
@@ -1361,41 +1324,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_service_args(serve)
     serve.set_defaults(func=_cmd_serve)
 
-    bench_traffic = sub.add_parser(
-        "bench-traffic",
-        help="throughput/latency of the service under synthetic traffic "
-        "(warm shared caches vs cold start)",
-    )
-    add_service_args(bench_traffic)
-    bench_traffic.add_argument("--requests", type=int, default=40)
-    bench_traffic.add_argument(
-        "--workloads", nargs="+", default=["R3"], metavar="NAME"
-    )
-    bench_traffic.add_argument("--depth", type=int, default=2)
-    bench_traffic.add_argument("--seed", type=int, default=0)
-    bench_traffic.add_argument(
-        "--repeat",
-        type=float,
-        default=0.5,
-        help="fraction of requests re-asking an already-issued position",
-    )
-    bench_traffic.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="drive an already-running server instead of an in-process one",
-    )
-    bench_traffic.add_argument(
-        "--shutdown",
-        action="store_true",
-        help="with --connect: send the shutdown op after the run",
-    )
-    bench_traffic.set_defaults(func=_cmd_bench_traffic)
-
     profile_service = sub.add_parser(
         "profile-service",
-        help="replay a traffic trace with request tracing on and print the "
-        "p50/p95/p99 latency decomposition per stage",
+        help="replay a traffic trace (in-process, or against a server with "
+        "--connect) and print the p50/p95/p99 latency decomposition per stage",
     )
     add_service_args(profile_service)
     profile_service.add_argument("--requests", type=int, default=40)
@@ -1420,7 +1352,18 @@ def build_parser() -> argparse.ArgumentParser:
     profile_service.add_argument(
         "--ledger-dir",
         default=None,
-        help="also write a ledger record (service + latency blocks)",
+        help="also write a ledger record with the latency block",
+    )
+    profile_service.add_argument(
+        "--connect",
+        default=None,
+        metavar="HOST:PORT",
+        help="drive an already-running server instead of an in-process one",
+    )
+    profile_service.add_argument(
+        "--shutdown",
+        action="store_true",
+        help="with --connect: send the shutdown op after the run",
     )
     profile_service.set_defaults(func=_cmd_profile_service)
 

@@ -13,10 +13,12 @@ meaningful CI reference.
 
 Records may additionally carry a ``whatif`` array (causal what-if sweep
 points from :mod:`repro.obs.whatif`), a ``snapshot.critpath`` block
-(flat :meth:`~repro.obs.critpath.CriticalPath.composition`), and a
+(flat :meth:`~repro.obs.critpath.CriticalPath.composition`), a
 ``trace`` block (wall-clock tracing summary of a traced real-backend
-run — mode, span count, drops, measured overhead); all are optional so
-older records stay valid.
+run — mode, span count, drops, measured overhead), and a ``latency``
+block (the per-stage request decomposition of a ``profile-service``
+run); all are optional so older records stay valid.  The service's
+throughput is measured by perfbench's ``serve-hot`` workload, not here.
 """
 
 from __future__ import annotations
@@ -76,34 +78,6 @@ LEDGER_SCHEMA: dict[str, object] = {
                     "predicted_makespan",
                     "actual_makespan",
                 ],
-            },
-        },
-        # Optional: service-level traffic summary (repro.serve), present
-        # on "serve"-backend records produced by the traffic benchmark.
-        # Latencies are end-to-end per request (admission to reply);
-        # counter conservation (requests == completed + shed) is
-        # enforced by validate_record.
-        "service": {
-            "type": "object",
-            "required": [
-                "requests",
-                "admitted",
-                "completed",
-                "shed",
-                "rps",
-                "p50_s",
-                "p95_s",
-                "p99_s",
-            ],
-            "properties": {
-                "requests": {"type": "integer", "minimum": 0},
-                "admitted": {"type": "integer", "minimum": 0},
-                "completed": {"type": "integer", "minimum": 0},
-                "shed": {"type": "integer", "minimum": 0},
-                "rps": {"type": "number", "minimum": 0},
-                "p50_s": {"type": "number", "minimum": 0},
-                "p95_s": {"type": "number", "minimum": 0},
-                "p99_s": {"type": "number", "minimum": 0},
             },
         },
         # Optional: per-stage latency decomposition (repro.obs.reqtrace),
@@ -207,17 +181,15 @@ def make_record(
     git_sha: Optional[str] = None,
     whatif: Optional[list[Mapping[str, object]]] = None,
     trace: Optional[Mapping[str, object]] = None,
-    service: Optional[Mapping[str, object]] = None,
     latency: Optional[Mapping[str, object]] = None,
 ) -> Record:
     """Assemble one ledger record from a snapshot plus run identity.
 
     ``whatif`` — the flat points of a causal sweep
     (:func:`repro.obs.whatif.to_records`) — ``trace`` — the
-    wall-clock tracing summary (:func:`trace_block`) — ``service``
-    — the traffic summary of a search-service run
-    (:func:`service_block`) — and ``latency`` — the per-stage
-    decomposition of the same run (:func:`latency_block`) — are stored
+    wall-clock tracing summary (:func:`trace_block`) — and ``latency``
+    — the per-stage decomposition of a search-service run
+    (:func:`latency_block`) — are stored
     only when given, so records from runs without them stay
     byte-identical to schema v1.
     """
@@ -238,8 +210,6 @@ def make_record(
         record["whatif"] = [dict(point) for point in whatif]
     if trace is not None:
         record["trace"] = dict(trace)
-    if service is not None:
-        record["service"] = dict(service)
     if latency is not None:
         record["latency"] = dict(latency)
     return record
@@ -257,34 +227,6 @@ def trace_block(mode: str, spans: int, dropped: int, overhead_fraction: float) -
         "spans": int(spans),
         "dropped": int(dropped),
         "overhead_fraction": float(overhead_fraction),
-    }
-
-
-def service_block(
-    *,
-    requests: int,
-    admitted: int,
-    completed: int,
-    shed: int,
-    rps: float,
-    p50_s: float,
-    p95_s: float,
-    p99_s: float,
-) -> Record:
-    """Assemble the optional ``service`` record block from a traffic run.
-
-    Callers typically derive the arguments from a
-    :class:`~repro.serve.traffic.TrafficReport`.
-    """
-    return {
-        "requests": int(requests),
-        "admitted": int(admitted),
-        "completed": int(completed),
-        "shed": int(shed),
-        "rps": float(rps),
-        "p50_s": float(p50_s),
-        "p95_s": float(p95_s),
-        "p99_s": float(p99_s),
     }
 
 
@@ -405,32 +347,6 @@ def validate_record(record: Record) -> list[str]:
                 not isinstance(overhead, (int, float)) or overhead < 0
             ):
                 problems.append("trace overhead_fraction must be a non-negative number")
-    service = record.get("service")
-    if service is not None:
-        if not isinstance(service, dict):
-            problems.append("service must be an object")
-        else:
-            for key in ("requests", "admitted", "completed", "shed"):
-                count = service.get(key)
-                if not isinstance(count, int) or count < 0:
-                    problems.append(f"service {key} must be a non-negative integer")
-            for key in ("rps", "p50_s", "p95_s", "p99_s"):
-                number = service.get(key)
-                if not isinstance(number, (int, float)) or number < 0:
-                    problems.append(f"service {key} must be a non-negative number")
-            requests = service.get("requests")
-            completed = service.get("completed")
-            shed = service.get("shed")
-            if (
-                isinstance(requests, int)
-                and isinstance(completed, int)
-                and isinstance(shed, int)
-                and completed + shed != requests
-            ):
-                problems.append(
-                    f"service counters do not conserve: completed {completed} "
-                    f"+ shed {shed} != requests {requests}"
-                )
     latency = record.get("latency")
     if latency is not None:
         if not isinstance(latency, dict):
@@ -570,7 +486,9 @@ def compare_records(
     * **critical-path composition** — when both snapshots carry a
       ``critpath`` block, each primitive's share of the makespan growing
       by more than ``tolerance`` (absolute).  A record without critpath
-      data (pre-critpath baseline) is noted, not flagged.
+      data (pre-critpath baseline) is noted, not flagged;
+    * **latency stages** — when both records carry a ``latency`` block,
+      each stage's p99 growing by more than ``tolerance`` (relative).
 
     Shrinking any of those is reported as an improvement, never a
     regression.
@@ -625,7 +543,6 @@ def compare_records(
             report.improvements.append(f"{name}: {old:.4f} -> {new:.4f} ({delta:+.4f})")
 
     _compare_critpath(report, base_snap.critpath, cand_snap.critpath, tolerance)
-    _compare_service(report, baseline.get("service"), candidate.get("service"), tolerance)
     _compare_latency(report, baseline.get("latency"), candidate.get("latency"), tolerance)
     return report
 
@@ -669,44 +586,6 @@ def _compare_critpath(
             report.regressions.append(f"{label}: {old:.4f} -> {new:.4f} (+{delta:.4f})")
         elif delta < -tolerance:
             report.improvements.append(f"{label}: {old:.4f} -> {new:.4f} ({delta:+.4f})")
-
-
-def _compare_service(
-    report: CompareReport,
-    base: Optional[object],
-    cand: Optional[object],
-    tolerance: float,
-) -> None:
-    """Diff service traffic summaries when both records carry one.
-
-    Throughput dropping or tail latency growing beyond ``tolerance``
-    (relative) is a regression; the opposite is an improvement.  A
-    record without a service block (non-serve backend, or a pre-service
-    baseline) is noted, not flagged.
-    """
-    if not isinstance(base, dict) and not isinstance(cand, dict):
-        return
-    if not isinstance(base, dict):
-        report.notes.append("baseline has no service data; traffic not compared")
-        return
-    if not isinstance(cand, dict):
-        report.notes.append("candidate has no service data; traffic not compared")
-        return
-    old_rps = float(base.get("rps", 0.0))
-    new_rps = float(cand.get("rps", 0.0))
-    change = _rel_change(old_rps, new_rps)
-    if change < -tolerance:
-        report.regressions.append(f"rps: {old_rps:g} -> {new_rps:g} ({change:.1%})")
-    elif change > tolerance:
-        report.improvements.append(f"rps: {old_rps:g} -> {new_rps:g} (+{change:.1%})")
-    for key in ("p50_s", "p95_s", "p99_s"):
-        old = float(base.get(key, 0.0))
-        new = float(cand.get(key, 0.0))
-        change = _rel_change(old, new)
-        if change > tolerance:
-            report.regressions.append(f"{key}: {old:g} -> {new:g} (+{change:.1%})")
-        elif change < -tolerance:
-            report.improvements.append(f"{key}: {old:g} -> {new:g} ({change:.1%})")
 
 
 #: Floor under the latency-stage p99 comparison, in seconds.  Stages
@@ -812,8 +691,6 @@ def aggregate(directory: Union[str, Path], out_path: Optional[Union[str, Path]] 
             summary["critpath"] = critpath
         if record.get("whatif") is not None:
             summary["whatif"] = record.get("whatif")
-        if record.get("service") is not None:
-            summary["service"] = record.get("service")
         if record.get("latency") is not None:
             summary["latency"] = record.get("latency")
         summaries.append(summary)

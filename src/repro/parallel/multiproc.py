@@ -660,20 +660,6 @@ class EnginePool:
             self.counters["tt_short_circuits"] += 1
         return value
 
-    def clear_caches(self) -> None:
-        """Zero the shared segments — the benchmark's "cold" mode.
-
-        Emptying the warm tables between requests isolates what cache
-        warmth contributes versus pool persistence, without paying (or
-        measuring) worker start-up.
-        """
-        tt = self.shared_tt
-        if tt is not None:
-            tt.clear()
-        cache = self.shared_eval
-        if cache is not None:
-            cache.clear()
-
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> dict[str, int]:

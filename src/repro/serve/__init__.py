@@ -19,9 +19,12 @@ layer, stdlib-only like the rest of the repo:
 * :mod:`.server` — the asyncio TCP server tying those together, with
   per-request spans, queue/latency metrics, and the Prometheus text
   endpoint mounted on live service metrics;
-* :mod:`.client` — a small asyncio client (tests, ``bench-traffic``);
-* :mod:`.traffic` — deterministic synthetic traffic generation and the
-  requests/s + latency-percentile report the run ledger records.
+* :mod:`.client` — a small asyncio client (tests, ``profile-service
+  --connect``);
+* :mod:`.traffic` — deterministic synthetic traffic, its throughput and
+  latency report, and the stage decomposition ``profile-service``
+  prints.  It is imported on demand (``repro.serve.traffic``), not
+  here: a process that serves or benchmarks requests never loads it.
 """
 
 from .api import (
@@ -43,25 +46,9 @@ from .scheduler import (
     ServeMetrics,
 )
 from .server import SearchService, ServeConfig, ServeWorkload, suite_catalog
-from .traffic import (
-    STAGE_ORDER,
-    TrafficReport,
-    TrafficSpec,
-    generate_trace,
-    latency_fields,
-    render_decomposition,
-    run_trace,
-    stage_samples,
-    stage_stats,
-)
 
 __all__ = [
     "SLO_LATENCY_BOUNDS",
-    "STAGE_ORDER",
-    "latency_fields",
-    "render_decomposition",
-    "stage_samples",
-    "stage_stats",
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
@@ -81,8 +68,4 @@ __all__ = [
     "ServeConfig",
     "ServeWorkload",
     "suite_catalog",
-    "TrafficReport",
-    "TrafficSpec",
-    "generate_trace",
-    "run_trace",
 ]

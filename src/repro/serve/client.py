@@ -1,7 +1,7 @@
 """A small asyncio client for the search service.
 
-Used by the network-path tests and ``repro bench-traffic --connect``;
-the in-process batteries talk to :meth:`SearchService.handle` directly.
+Used by the network-path tests and ``repro-gametree profile-service
+--connect``; the in-process batteries talk to :meth:`SearchService.handle` directly.
 The client supports pipelining: many :meth:`ServiceClient.search` calls
 may be outstanding at once over the one connection, and replies are
 matched back to callers by ``request_id`` (the server replies in

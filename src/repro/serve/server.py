@@ -197,7 +197,7 @@ class SearchService:
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`shutdown` explicitly.  :meth:`handle` is the in-process
-    entry (no socket) the traffic benchmark and batteries drive;
+    entry (no socket) that ``profile-service`` and the batteries drive;
     network clients get byte-identical behavior through
     :meth:`repro.serve.client.ServiceClient`.
     """

@@ -1,20 +1,24 @@
 """Synthetic traffic: deterministic request traces and the serving report.
 
-The throughput claims of the serve layer need a reproducible load, so
+The ``profile-service`` command needs a reproducible load, so
 :func:`generate_trace` derives a request sequence entirely from a seed:
 which workload, which position (random walks from the root, with a
 tunable fraction of *repeats* — the traffic shape that makes a warm
 shared transposition table pay), which priority, and which deadlines.
-:func:`run_trace` drives a trace through a running
-:class:`~repro.serve.server.SearchService` and folds the replies into a
-:class:`TrafficReport` — requests/s plus nearest-rank p50/p95/p99
-latency percentiles, the numbers ``repro bench-traffic`` prints and the
-run ledger records via :func:`repro.obs.ledger.service_block`.
+:func:`run_trace` drives a trace through an in-process
+:class:`~repro.serve.server.SearchService`, and :func:`run_trace_client`
+through a remote one over TCP; both fold the replies into a
+:class:`TrafficReport` — ok-reply throughput plus nearest-rank
+p50/p95/p99 latency percentiles.
 
-:func:`service_snapshot` renders the run as a
+:func:`render_decomposition` prints the per-stage latency table of a
+run and :func:`latency_fields` feeds the run ledger's ``latency`` block.
+:func:`service_snapshot` renders an in-process run as a
 :class:`~repro.obs.snapshot.Snapshot` (backend ``serve``, wall-clock
-seconds) so the same ledger/compare machinery that watches the search
-backends watches the service too.
+seconds) whose accounting ``profile-service`` checks.
+
+The service's benchmark is perfbench's ``serve-hot`` workload; this
+module is not imported by :mod:`repro.serve` itself.
 """
 
 from __future__ import annotations
@@ -180,6 +184,8 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
 class TrafficReport:
     """What one trace run measured.
 
+    ``rps`` is ``ok`` replies per wall second, as perfbench counts
+    throughput; shed and error replies are counted but never served.
     ``samples`` is the count of latency observations behind the
     percentiles (``ok`` replies only).  With fewer than 3 samples the
     nearest-rank p50/p95/p99 collapse onto the same order statistics,
@@ -205,19 +211,6 @@ class TrafficReport:
     p99_s: float
     samples: int = 0
     replies: tuple[SearchReply, ...] = ()
-
-    def service_fields(self) -> dict[str, object]:
-        """Keyword arguments for :func:`repro.obs.ledger.service_block`."""
-        return {
-            "requests": self.requests,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "rps": self.rps,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-        }
 
     def render(self, title: str) -> str:
         """Human-readable run summary for benchmark result files."""
@@ -262,7 +255,7 @@ def _fold_replies(
         errors=errors,
         anytime=sum(1 for r in ok if r.anytime),
         wall_s=wall,
-        rps=len(replies) / wall,
+        rps=len(ok) / wall,
         p50_s=percentile(latencies, 50),
         p95_s=percentile(latencies, 95),
         p99_s=percentile(latencies, 99),

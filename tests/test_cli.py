@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -177,6 +182,48 @@ class TestObservability:
         assert any("sim_R3_P1" in name for name in records)
         assert any("sim_R3_P2" in name for name in records)
         assert "ledger:" in capsys.readouterr().out
+
+
+class TestProfileService:
+    def test_bench_traffic_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench-traffic"])
+
+    def test_shutdown_needs_connect(self, capsys):
+        assert main(["profile-service", "--shutdown"]) == 2
+        assert "--connect" in capsys.readouterr().err
+
+    def test_in_process(self, capsys):
+        assert main(["profile-service", "--requests", "4", "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "errors 0" in out
+        assert "decomposed requests: 4" in out
+        assert "dominant tail stage" in out
+
+    def test_remote_run_then_shutdown_drains_the_server(self, capsys):
+        path = [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = server.stdout.readline()  # "serving ... on HOST:PORT"
+            address = banner.split()[-1]
+            assert main(
+                ["profile-service", "--connect", address, "--requests", "4", "--shutdown"]
+            ) == 0
+            rest, _ = server.communicate(timeout=60)
+        finally:
+            server.kill()
+        out = capsys.readouterr().out
+        assert "errors 0" in out
+        assert "decomposed requests: 4" in out
+        assert "sent shutdown" in out
+        assert server.returncode == 0
+        assert "drained: 4 completed, 0 shed of 4 submitted" in rest
 
 
 class TestVerify:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -39,7 +40,9 @@ from repro.serve import SearchService, ServeConfig
 from repro.serve.api import (
     PRIORITY_HIGH,
     PRIORITY_NORMAL,
+    STATUS_ERROR,
     STATUS_OK,
+    STATUS_SHED,
     SearchReply,
     SearchRequest,
 )
@@ -52,6 +55,7 @@ from repro.serve.scheduler import (
 from repro.serve.traffic import (
     latency_fields,
     render_decomposition,
+    run_trace,
     stage_samples,
     stage_stats,
 )
@@ -620,6 +624,33 @@ class TestTrafficDecomposition:
             [_reply_with(float(i), 0.0) for i in range(1, 10)], "t"
         )
         assert "degenerate" not in big
+
+    def test_throughput_counts_ok_replies_only(self) -> None:
+        # A service that sheds or fails a request has not served it.
+        statuses = {
+            "a": STATUS_OK,
+            "b": STATUS_OK,
+            "c": STATUS_OK,
+            "d": STATUS_SHED,
+            "e": STATUS_SHED,
+            "f": STATUS_ERROR,
+        }
+
+        class CannedService:
+            """Answers each request with a canned status, at once."""
+
+            scheduler = SimpleNamespace(counters={"admitted": 0})
+
+            async def handle(self, request: SearchRequest) -> SearchReply:
+                status = statuses[request.request_id]
+                latency = 0.01 if status == STATUS_OK else 0.0
+                return SearchReply(request.request_id, status, latency_s=latency)
+
+        trace = [SearchRequest(request_id=rid, workload="R1") for rid in statuses]
+        report = asyncio.run(run_trace(CannedService(), trace))  # type: ignore[arg-type]
+        assert (report.ok, report.shed, report.errors) == (3, 2, 1)
+        assert report.completed == 4
+        assert report.rps * report.wall_s == pytest.approx(3)
 
     def test_latency_fields_feed_a_valid_ledger_block(self) -> None:
         block = ledger.latency_block(

@@ -6,8 +6,9 @@ carries that :class:`~repro.serve.pool.ResolvedPosition` into every
 deepening iteration.  These tests pin the "once": path replays and
 Othello rehashes are counted per request, one request object may be
 in flight twice, invalid requests still never reach admission, and a
-warm request leaves (almost) nothing behind in the service's metrics.
-Also here: the loopback rule for ``op: shutdown``.
+warm request leaves (almost) nothing behind in the service's metrics,
+and a repeated request is answered from the table alone.  Also here:
+the loopback rule for ``op: shutdown``.
 """
 
 from __future__ import annotations
@@ -129,6 +130,50 @@ class TestResolveOnce:
         assert bad_path.status == STATUS_ERROR and "leaves the tree" in bad_path.detail
         assert too_deep.status == STATUS_ERROR and "exceeds the service limit" in too_deep.detail
         assert counters["submitted"] == 0
+
+
+class TestRepeatedRequest:
+    """A repeated request is answered from the warm table.
+
+    The first request stores every root child's EXACT value at every
+    deepening depth, so the second identical one probes each child once
+    per iteration, short-circuits all of them and submits no task.
+    """
+
+    @pytest.mark.parametrize(
+        "workload, path, n_children",
+        [("O1", (0, 1), 13), ("R1", (1,), 4), ("R3", (), 8)],
+    )
+    def test_second_identical_request_submits_no_task(
+        self, workload, path, n_children
+    ) -> None:
+        max_depth = 3
+
+        def request(request_id: str) -> SearchRequest:
+            return SearchRequest(
+                request_id=request_id, workload=workload, path=path, max_depth=max_depth
+            )
+
+        async def scenario():
+            async with SearchService(small_config()) as service:
+                assert service.pool is not None
+                first = await service.handle(request("first"))
+                before = dict(service.pool.counters)
+                second = await service.handle(request("second"))
+                after = dict(service.pool.counters)
+                return first, second, before, after
+
+        first, second, before, after = asyncio.run(scenario())
+        assert first.status == second.status == STATUS_OK
+        assert second.depth_reached == max_depth
+        assert second.move_index == first.move_index
+        assert second.per_move_values == first.per_move_values
+        assert len(second.per_move_values) == n_children
+        assert after["tasks_submitted"] == before["tasks_submitted"]
+        assert (
+            after["tt_short_circuits"] - before["tt_short_circuits"]
+            == n_children * max_depth
+        )
 
 
 class TestWarmRequestRetention:
