@@ -255,6 +255,22 @@ class _Context:
         else:
             self.primary.push(self.root)
 
+    def release(self) -> None:
+        """Break the finished tree's parent<->children cycles.
+
+        Every node's ``parent`` link is cleared, walking down from the
+        root, so the tree frees by refcount as soon as its driver drops
+        it instead of waiting for a full cyclic collection.  Called once
+        the run is over (no worker touches the tree again); it reports no
+        access and emits no event, so traces are unchanged.
+        """
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            if node.children:
+                stack.extend(child for child in node.children if child is not None)
+
     # -- shared-state instrumentation --------------------------------------
 
     def _bump(self, key: str, amount: int = 1) -> None:
@@ -1322,6 +1338,7 @@ def parallel_er(
         if bus is not None:
             bus.use_clock(prev_clock)
             bus.task = None
+    ctx.release()
     if not ctx.done:
         raise SimulationError("parallel ER finished without combining the root")
     merged = SearchStats.with_trace() if trace else SearchStats()

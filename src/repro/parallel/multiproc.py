@@ -62,7 +62,13 @@ run against the window captured at dispatch, results of subtrees
 orphaned by a cutoff are discarded on arrival (their node counts are
 still merged — the work *was* performed), and a primary node takes the
 simulator's steps in the simulator's order — screen, shared-table
-probe, expansion, then leaf, serial task, or child generation.
+probe, expansion, then leaf, serial task, or child generation — with
+one exception: a node that ships whole as an ``eval`` task goes to its
+worker unexpanded, since the worker generates its children anyway.
+When the run ends, raised or not, the coordinator breaks the tree's
+parent links (:meth:`~repro.core.er_parallel._Context.release`), so
+each search's tree frees by refcount and the coordinator holds one tree
+at a time.
 
 Loss accounting (paper Section 3.1), from per-worker counters: over the
 run's ``n_workers * wall_time`` processor-seconds,
@@ -911,6 +917,15 @@ class Coordinator:
             self.counters["tt_coord_hits"] += 1
             self._finish(node, hit)
             return
+        if (
+            node.next_child == 0
+            and ctx.at_serial_depth(node)
+            and not ctx.problem.is_horizon(node.ply)
+        ):
+            # The whole subtree ships to a worker, which generates these
+            # children itself (a game-over position included).
+            self.submit(node, window)
+            return
         ctx.expand_positions(node, self.stats)
         if node.is_leaf:
             self._finish(node, self._leaf_value(node))
@@ -1022,33 +1037,37 @@ class Coordinator:
                 deadlock (empty heap with nothing in flight).
         """
         ctx = self.ctx
-        with _probe.attached("ring", self.ring):
-            while not ctx.done:
-                self.drain(block=False)
-                if ctx.done:
-                    break
-                if len(self.pending) >= IN_FLIGHT_PER_WORKER * self.n_workers:
-                    self.drain(block=True)
-                    continue
-                node, from_spec = ctx.pop_work()
-                if node is None:
-                    if not self.pending:
-                        raise SimulationError(
-                            "multiproc ER deadlocked: empty heap with no tasks in flight"
-                        )
-                    self.drain(block=True)
-                    continue
-                if from_spec:
-                    pushes: list[tuple[str, PNode]] = []
-                    ctx.speculative_step(node, pushes)
-                    ctx.publish(pushes)
-                else:
-                    self._primary(node)
-        self.wall_time = time.perf_counter() - self._start
-        self._tick()
-        self.counters["tasks_orphaned"] = len(self.pending)
-        for future in self.pending:
-            future.cancel()
+        try:
+            with _probe.attached("ring", self.ring):
+                while not ctx.done:
+                    self.drain(block=False)
+                    if ctx.done:
+                        break
+                    if len(self.pending) >= IN_FLIGHT_PER_WORKER * self.n_workers:
+                        self.drain(block=True)
+                        continue
+                    node, from_spec = ctx.pop_work()
+                    if node is None:
+                        if not self.pending:
+                            raise SimulationError(
+                                "multiproc ER deadlocked: empty heap with no tasks in flight"
+                            )
+                        self.drain(block=True)
+                        continue
+                    if from_spec:
+                        pushes: list[tuple[str, PNode]] = []
+                        ctx.speculative_step(node, pushes)
+                        ctx.publish(pushes)
+                    else:
+                        self._primary(node)
+            self.wall_time = time.perf_counter() - self._start
+            self._tick()
+            self.counters["tasks_orphaned"] = len(self.pending)
+            for future in self.pending:
+                future.cancel()
+        finally:
+            # Only ``ctx.root.value`` is read from here on, raised or not.
+            ctx.release()
 
     def flush(self) -> None:
         """Collect the spans workers recorded after their last result.

@@ -282,6 +282,8 @@ def threaded_er_observed(
             driver.wake_all()
             raise SimulationError("threaded ER timed out")
     wall_time = time.perf_counter() - t_start
+    # Every worker has exited: only the root value is read from here on.
+    ctx.release()
     if driver.errors:
         raise SimulationError(f"worker thread failed: {driver.errors[0]!r}") from driver.errors[0]
     if not ctx.done:

@@ -11,6 +11,7 @@ from repro.errors import SearchError, SimulationError
 from repro.games.base import NEG_INF, SearchProblem
 from repro.games.connect4 import ConnectFour
 from repro.games.explicit import FIGURE6, FIGURE7, ExplicitTree
+from repro.games.nim import LOSS, Nim
 from repro.games.othello.game import O1_ROOT, Othello
 from repro.games.tictactoe import TicTacToe
 from repro.obs import events as obs_events
@@ -23,8 +24,10 @@ from repro.parallel.multiproc import (
     multiproc_er,
     scaling_run,
 )
+from repro.search.alphabeta import alphabeta
 from repro.search.negamax import negamax
 from repro.search.stats import SearchStats
+from repro.workloads.suite import table3_suite
 
 from conftest import random_problem
 
@@ -110,6 +113,30 @@ class _HeldExecutor:
         return [future]
 
 
+class _RecordingExecutor(_InlineExecutor):
+    """Inline executor that records each task's payload with the node it
+    was shipped for, read from the pending map the coordinator passes to
+    :meth:`wait` (every submit is followed by a wait before the run can
+    end)."""
+
+    def __init__(self):
+        super().__init__()
+        self._payloads = {}
+        self.shipped = []
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self._payloads[future] = args[0]
+        return future
+
+    def wait(self, futures, timeout=None):
+        for future, (node, _) in futures.items():
+            payload = self._payloads.pop(future, None)
+            if payload is not None:
+                self.shipped.append((payload, node))
+        return super().wait(futures, timeout)
+
+
 def _coordinator(executor, serial_depth=1, n_workers=1, seed=1):
     problem = random_problem(3, 4, seed)
     coordinator = Coordinator(
@@ -192,6 +219,62 @@ class TestCoordinator:
         assert applied and applied <= done
 
 
+class TestShipWhole:
+    """A node that ships whole as an ``eval`` task is never expanded by
+    the coordinator; a ``refute`` task still carries its remaining
+    children."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            random_problem(3, 5, seed=1),
+            SearchProblem(Othello(O1_ROOT), depth=4, sort_below_root=3),
+        ],
+        ids=["random", "othello"],
+    )
+    def test_eval_payload_nodes_are_unexpanded(self, problem):
+        executor = _RecordingExecutor()
+        coordinator = Coordinator(
+            problem, 2, executor, config=ERConfig(serial_depth=2, max_e_children=2)
+        )
+        coordinator.run()
+        assert coordinator.result().value == alphabeta(problem).value
+        kinds = {payload[0] for payload, _ in executor.shipped}
+        assert kinds == {"eval", "refute"}
+        assert len(executor.shipped) == coordinator.counters["tasks_submitted"]
+        for payload, node in executor.shipped:
+            if payload[0] == "eval":
+                assert node.child_positions is None
+                assert payload[1].game.root() == node.position
+            else:
+                remaining = payload[2]
+                assert remaining
+                assert remaining == node.child_positions[-len(remaining):]
+
+    def test_game_over_position_at_serial_depth_is_searched_by_the_worker(
+        self, engine_pools
+    ):
+        """Nim (1, 1): the e-node at ply 2 has no stones left, two plies
+        above the horizon.  It ships unexpanded and the worker's serial
+        search scores the loss."""
+        problem = SearchProblem(Nim((1, 1)), depth=4)
+        config = ERConfig(serial_depth=2)
+        oracle = alphabeta(problem).value
+        executor = _RecordingExecutor()
+        coordinator = Coordinator(problem, 1, executor, config=config)
+        coordinator.run()
+        assert coordinator.result().value == oracle
+        (game_over,) = [
+            node for payload, node in executor.shipped if node.position == ()
+        ]
+        assert game_over.ply == 2 < problem.depth
+        assert game_over.child_positions is None and not game_over.is_leaf
+        assert game_over.value == LOSS
+        result = multiproc_er(problem, 1, config=config, pool=engine_pools(1))
+        assert result.value == oracle
+        assert result.extras["tasks_submitted"] == 1
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_matches_negamax_on_random_trees(self, engine_pools, n_workers):
@@ -269,6 +352,17 @@ class TestCorrectness:
                 problem, 2, config=ERConfig(serial_depth=2), pool=pool
             )
             assert result.value == truth
+
+    @pytest.mark.parametrize("tree", ["O1", "R3"])
+    def test_one_task_counts_nodes_like_serial_er(self, engine_pools, tree):
+        """At serial depth 0 the root ships whole, so the merged count is
+        the worker's serial ER count: the root is counted once."""
+        problem = table3_suite("reduced")[tree].problem()
+        result = multiproc_er(
+            problem, 1, config=ERConfig(serial_depth=0), pool=engine_pools(1)
+        )
+        assert result.extras["tasks_submitted"] == 1
+        assert result.stats.nodes_examined == er_search(problem).stats.nodes_examined
 
     def test_agrees_with_serial_er_stats_scale(self, pool):
         """Merged node accounting lands in the same ballpark as serial ER
