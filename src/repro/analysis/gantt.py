@@ -15,8 +15,8 @@ work that bounds the makespan is visible hopping between lanes.
 
 For an interactive, zoomable view of the same schedule — plus queue
 depths and node-lifecycle instants — export a Chrome trace with
-``repro-gametree trace`` (:mod:`repro.obs.export`) and load it in
-Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
+``repro-gametree explain --trace-out PATH`` (:mod:`repro.obs.export`)
+and load it in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 """
 
 from __future__ import annotations

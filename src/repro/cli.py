@@ -6,22 +6,23 @@ Examples::
     repro-gametree figure 12 --scale paper   # Othello node counts, full size
     repro-gametree serial --tree O1          # serial AB vs serial ER
     repro-gametree baselines                 # Section 4 algorithm claims
-    repro-gametree losses --tree R1 -P 8     # Section 3.1 decomposition
-    repro-gametree explain --workload R3 --P 4   # critical path + what-if
+    repro-gametree explain --workload R3 --P 4   # loss split, critical path, what-if
+    repro-gametree explain --P 8 --gantt --skip-whatif  # schedule chart of the run
+    repro-gametree explain --backend multiproc --trace full --trace-out run.json
     repro-gametree top --backend multiproc -P 4  # live dashboard of a real run
-    repro-gametree trace --backend multiproc --trace full  # Perfetto + spans
     repro-gametree demo                      # 30-second tour
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from .obs.critpath import CriticalPath
     from .obs.events import EventBus
     from .obs.live import LiveTrace
     from .obs.snapshot import Snapshot
@@ -38,7 +39,6 @@ from .analysis.experiments import (
     format_speedup_summary,
     serial_baselines,
 )
-from .analysis.losses import loss_report
 from .cache import CACHE_MODES, make_eval_cache, make_tt
 from .core.er_parallel import parallel_er
 from .costmodel import DEFAULT_COST_MODEL
@@ -46,7 +46,6 @@ from .games.base import SearchProblem
 from .games.random_tree import IncrementalGameTree, RandomGameTree, SyntheticOrderedTree
 from .parallel import mwf, parallel_aspiration, pv_splitting, tree_splitting
 from .search.alphabeta import alphabeta
-from .search.stats import SearchStats
 from .workloads.suite import PROCESSOR_COUNTS, TreeSpec, table3_suite
 
 
@@ -116,33 +115,8 @@ def _cmd_baselines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_losses(args: argparse.Namespace) -> int:
-    spec = table3_suite(args.scale)[args.tree]
-    problem = spec.problem()
-    reference = SearchStats.with_trace()
-    alphabeta(problem, stats=reference)
-    base = serial_baselines(spec)
-    result = parallel_er(
-        problem, args.processors_single, config=er_config_for(spec), trace=True
-    )
-    report = loss_report(result, base.best_time, reference)
-    print(f"{spec.name} with {report.n_processors} processors:")
-    print(f"  efficiency            {report.efficiency:.3f}")
-    print(f"  starvation fraction   {report.starvation_fraction:.3f}")
-    print(f"  interference fraction {report.interference_fraction:.3f}")
-    print(f"  speculative fraction  {report.speculative_fraction:.3f}")
-    print(
-        f"  nodes: parallel={report.work.parallel_total} "
-        f"reference={report.work.reference_total} "
-        f"expansion-ratio={report.work.expansion_ratio:.2f}"
-    )
-    return 0
-
-
 def _config_json(config: object) -> dict[str, object]:
     """Flatten a config/cost-model dataclass to JSON-safe values."""
-    import dataclasses
-
     out: dict[str, object] = {}
     if not dataclasses.is_dataclass(config) or isinstance(config, type):
         return out
@@ -163,29 +137,33 @@ def _observed_run(
     eval_mode: str = "off",
     batch: bool = False,
     trace: str = "off",
-) -> "tuple[EventBus, Snapshot, SimReport | None, LiveTrace | None]":
+) -> "tuple[EventBus, Snapshot, SimReport | None, LiveTrace | None, CriticalPath | None]":
     """Run one tree on one backend under a telemetry bus.
 
-    Returns ``(bus, snapshot, sim_report_or_None, live_or_None)`` — the
-    report carries the per-processor timelines the Perfetto exporter
-    renders as tracks (only the simulated backend has exact timelines);
-    ``live`` is the merged wall-clock span timeline when the real
-    backend ran with ``trace`` enabled.  Each call builds a fresh eval
-    cache, so the telemetry run is self-contained.
+    Returns ``(bus, snapshot, sim_report, live, critpath)``.  On the
+    simulated backend the run is recorded with per-processor timelines
+    (the Perfetto tracks and the Gantt rows) under a schedule recorder,
+    and ``critpath`` is its extracted critical path; ``live`` is the
+    merged wall-clock span timeline when a real backend ran with
+    ``trace`` enabled.  Each call builds a fresh eval cache, so the
+    telemetry run is self-contained.
     """
-    from .obs import observing
+    from .obs import critpath, observing
     from .obs import snapshot as obs_snapshot
 
     problem = spec.problem()
     config = er_config_for(spec)
     with observing() as bus:
         if backend == "sim":
-            result = parallel_er(
-                problem, count, config=config, tt=make_tt(tt_mode),
-                eval_cache=make_eval_cache(eval_mode), batch_eval=batch,
-            )
+            with critpath.recording() as recorder:
+                result = parallel_er(
+                    problem, count, config=config, tt=make_tt(tt_mode),
+                    eval_cache=make_eval_cache(eval_mode), batch_eval=batch,
+                    record_timeline=True,
+                )
             snap = obs_snapshot.snapshot_from_sim(result, workload=spec.name, bus=bus)
-            return bus, snap, result.report, None
+            path = critpath.extract(recorder, result.sim_time)
+            return bus, snap, result.report, None, path
         if backend == "threaded":
             from .parallel.threaded import threaded_er_observed
 
@@ -194,7 +172,7 @@ def _observed_run(
                 eval_cache=make_eval_cache(eval_mode), batch_eval=batch, trace=trace,
             )
             snap = obs_snapshot.snapshot_from_threaded(run, workload=spec.name, bus=bus)
-            return bus, snap, None, run.trace
+            return bus, snap, None, run.trace, None
         from .parallel.multiproc import multiproc_er
 
         mp_result = multiproc_er(
@@ -202,7 +180,7 @@ def _observed_run(
             eval_cache_mode=eval_mode, batch_eval=batch, trace=trace,
         )
         snap = obs_snapshot.snapshot_from_multiproc(mp_result, workload=spec.name, bus=bus)
-        return bus, snap, None, mp_result.trace
+        return bus, snap, None, mp_result.trace, None
 
 
 def _write_ledger_record(
@@ -214,7 +192,12 @@ def _write_ledger_record(
     eval_mode: str = "off",
     batch: bool = False,
     live: "LiveTrace | None" = None,
+    critpath: "dict[str, float] | None" = None,
+    whatif: "list[dict[str, float | str]] | None" = None,
 ) -> Path:
+    """Validate and write one run's record; ``critpath`` is a path's
+    :meth:`~repro.obs.critpath.CriticalPath.composition` and ``whatif``
+    the :func:`~repro.obs.whatif.to_records` points of a sweep."""
     from .obs import ledger
 
     trace_summary = None
@@ -225,6 +208,8 @@ def _write_ledger_record(
             live.total_dropped,
             live.overhead_fraction(snap.makespan),
         )
+    if critpath:
+        snap = dataclasses.replace(snap, critpath=critpath)
     record = ledger.make_record(
         snap,
         workload=spec.name,
@@ -238,66 +223,13 @@ def _write_ledger_record(
             "batch_eval": batch,
         },
         cost_model=_config_json(DEFAULT_COST_MODEL),
+        whatif=whatif,
         trace=trace_summary,
     )
     problems = ledger.validate_record(record)
     if problems:
         raise SystemExit("ledger record invalid: " + "; ".join(problems))
     return ledger.write_record(record, directory)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Emit a Perfetto-loadable Chrome trace (and optional ledger record)."""
-    from .obs import export
-
-    spec = table3_suite(args.scale)[args.tree]
-    count = args.processors_single
-    if args.trace != "off" and args.backend == "sim":
-        print("trace: --trace applies to the real backends only", file=sys.stderr)
-        return 2
-    bus, snap, report, live = _observed_run(
-        spec, args.backend, count, trace=args.trace
-    )
-    problems = snap.check_accounting()
-    if problems:
-        for problem in problems:
-            print(f"accounting violation: {problem}", file=sys.stderr)
-        return 1
-    out = args.output or (
-        f"results/traces/{args.tree}_{args.backend}_P{count}.trace.json"
-    )
-    path = export.write_chrome_trace(
-        out,
-        bus.events,
-        report=report,
-        time_unit=snap.time_unit,
-        metadata={
-            "workload": spec.name,
-            "backend": args.backend,
-            "n_processors": count,
-            "scale": args.scale,
-            "seed": spec.seed,
-            "trace_mode": args.trace,
-        },
-        live=live,
-    )
-    print(f"{spec.name} {args.backend} P={count}: {len(bus.events)} events")
-    if live is not None:
-        print(
-            f"live spans: {len(live.spans)} across {len(live.workers())} rows, "
-            f"{live.total_dropped} dropped, "
-            f"overhead {live.overhead_fraction(snap.makespan):.2%} of wall time"
-        )
-    print(f"trace: {path}  (open at https://ui.perfetto.dev or chrome://tracing)")
-    if args.jsonl:
-        jsonl_path = export.write_jsonl(Path(path).with_suffix(".jsonl"), bus.events)
-        print(f"jsonl: {jsonl_path}")
-    if args.ledger_dir:
-        record_path = _write_ledger_record(
-            spec, snap, args.ledger_dir, args.scale, live=live
-        )
-        print(f"ledger: {record_path}")
-    return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -395,105 +327,146 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    """Critical-path blame report plus causal what-if profile for one run.
+def _render_split(snap: "Snapshot") -> str:
+    """The run's processor-time split into busy and the Section 3.1 losses.
 
-    The run happens once under a :class:`~repro.obs.critpath.ScheduleRecorder`
-    (and the telemetry bus, for the optional trace/ledger outputs); the
-    extracted path's length must equal the makespan exactly or the
-    command fails.  The what-if sweep then re-runs the same fixed-seed
-    workload under perturbed cost models and prints predicted-vs-actual
-    speedups per (primitive, factor) point.
+    Amounts are in the snapshot's time unit; the parts sum to
+    processors x makespan.  The simulator does not yet separate
+    speculative work from busy time, so its row says so instead of
+    printing a zero that was never measured.
+    """
+    rows = {
+        "busy": sum(p.busy for p in snap.processors),
+        "starvation": sum(p.starvation + p.tail_idle for p in snap.processors),
+        "interference": sum(p.interference for p in snap.processors),
+        "speculative": sum(p.speculative for p in snap.processors),
+    }
+    total = snap.processor_time
+    lines = [
+        f"time split ({snap.n_processors} processors x {snap.makespan:.6f} "
+        f"{snap.time_unit} = {total:.6f}):"
+    ]
+    for name, amount in rows.items():
+        if name == "speculative" and snap.backend == "sim":
+            lines.append(f"  {name:<13s} inside busy (not yet separated; ROADMAP item 1)")
+        else:
+            lines.append(f"  {name:<13s}{amount:>18.6f}  {amount / total:.3f}")
+    accounted = sum(rows.values())
+    lines.append(f"  {'sum':<13s}{accounted:>18.6f}  {accounted / total:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    """Where did the time go?  One run on any backend, explained.
+
+    The run happens once under the telemetry bus.  Every backend prints
+    the snapshot's busy / starvation / interference / speculative split
+    and fails on an accounting violation.  The simulated run is also
+    recorded under a :class:`~repro.obs.critpath.ScheduleRecorder`: its
+    critical path must equal the makespan exactly, it prints the blame
+    report (and with ``--gantt`` the schedule chart), and the what-if
+    sweep re-runs the same fixed-seed workload under perturbed cost
+    models to print predicted-vs-actual speedups.  ``--trace-out`` writes
+    the Perfetto file plus the raw events beside it, ``--ledger-dir``
+    one ledger record.
     """
     from .costmodel import CostModel
-    from .obs import critpath, export, whatif
-    from .obs import events as obs_events
-    from .obs import snapshot as obs_snapshot
+    from .obs import export, whatif
 
+    sim = args.backend == "sim"
+    if sim and args.trace != "off":
+        print("explain: --trace applies to the real backends only", file=sys.stderr)
+        return 2
+    if args.gantt and not sim:
+        print("explain: --gantt needs the sim backend's exact timelines", file=sys.stderr)
+        return 2
     spec = table3_suite(args.scale)[args.tree]
-    config = er_config_for(spec)
     count = args.processors_single
-    with obs_events.observing() as bus, critpath.recording() as rec:
-        result = parallel_er(
-            spec.problem(), count, config=config, record_timeline=True,
-            eval_cache=make_eval_cache(args.eval_cache), batch_eval=args.batch_eval,
-        )
-    cp = critpath.extract(rec, result.sim_time)
-    title = f"{spec.name} sim P={count} ({args.scale} scale)"
-    print(critpath.render_report(cp, title=title, top=args.top), end="")
-    if cp.length != result.sim_time:
+    bus, snap, report, live, cp = _observed_run(
+        spec, args.backend, count, eval_mode=args.eval_cache,
+        batch=args.batch_eval, trace=args.trace,
+    )
+    print(f"{spec.name} {args.backend} P={count} ({args.scale} scale): {len(bus.events)} events")
+    if live is not None:
         print(
-            f"explain: path length {cp.length!r} != makespan {result.sim_time!r}",
-            file=sys.stderr,
+            f"live spans: {len(live.spans)} across {len(live.workers())} rows, "
+            f"{live.total_dropped} dropped, "
+            f"overhead {live.overhead_fraction(snap.makespan):.2%} of wall time"
         )
+    print(_render_split(snap), end="")
+    problems = snap.check_accounting()
+    for problem in problems:
+        print(f"accounting violation: {problem}", file=sys.stderr)
+    if problems:
         return 1
 
     points: list[whatif.WhatIfPoint] = []
-    if not args.skip_whatif:
+    if cp is not None:
+        from .analysis.gantt import render_gantt
+        from .obs.critpath import render_report
 
-        def rerun(cm: CostModel) -> float:
-            # A fresh cache per re-run: every point of the sweep starts
-            # from the same cold-cache state as the base run, and the
-            # cache's own op costs scale with the perturbed model.
-            return parallel_er(
-                spec.problem(), count, config=config, cost_model=cm,
-                eval_cache=make_eval_cache(args.eval_cache, cost_model=cm),
-                batch_eval=args.batch_eval,
-            ).sim_time
-
-        points = whatif.sweep(
-            rerun,
-            cp.by_primitive(),
-            result.sim_time,
-            primitives=args.whatif,
-            factors=args.factors,
-            cost_model=DEFAULT_COST_MODEL,
-        )
         print()
-        print(whatif.render_table(points), end="")
+        title = f"{spec.name} sim P={count} ({args.scale} scale)"
+        print(render_report(cp, title=title, top=args.top), end="")
+        if cp.length != cp.makespan:
+            print(
+                f"explain: path length {cp.length!r} != makespan {cp.makespan!r}",
+                file=sys.stderr,
+            )
+            return 1
+        if args.gantt and report is not None:
+            print()
+            print(render_gantt(report, critpath=cp))
+        if not args.skip_whatif:
+            config = er_config_for(spec)
+
+            def rerun(cm: CostModel) -> float:
+                # A fresh cache per re-run: every point of the sweep starts
+                # from the same cold-cache state as the base run, and the
+                # cache's own op costs scale with the perturbed model.
+                return parallel_er(
+                    spec.problem(), count, config=config, cost_model=cm,
+                    eval_cache=make_eval_cache(args.eval_cache, cost_model=cm),
+                    batch_eval=args.batch_eval,
+                ).sim_time
+
+            points = whatif.sweep(
+                rerun,
+                cp.by_primitive(),
+                cp.makespan,
+                primitives=args.whatif,
+                factors=args.factors,
+                cost_model=DEFAULT_COST_MODEL,
+            )
+            print()
+            print(whatif.render_table(points), end="")
 
     if args.trace_out:
         path = export.write_chrome_trace(
             args.trace_out,
             bus.events,
-            report=result.report,
+            report=report,
+            time_unit=snap.time_unit,
             critpath=cp,
+            live=live,
             metadata={
                 "workload": spec.name,
-                "backend": "sim",
+                "backend": args.backend,
                 "n_processors": count,
                 "scale": args.scale,
                 "seed": spec.seed,
+                "trace_mode": args.trace,
             },
         )
-        print(f"trace: {path}  (critical-path overlay under pid 1)")
-
+        jsonl_path = export.write_jsonl(f"{path}.jsonl", bus.events)
+        print(f"trace: {path}  (open at https://ui.perfetto.dev or chrome://tracing)")
+        print(f"jsonl: {jsonl_path}")
     if args.ledger_dir:
-        from .obs import ledger
-
-        snap = obs_snapshot.snapshot_from_sim(
-            result, workload=spec.name, bus=bus, critpath=cp.composition()
-        )
-        record = ledger.make_record(
-            snap,
-            workload=spec.name,
-            scale=args.scale,
-            seed=spec.seed,
-            config={
-                "serial_depth": spec.serial_depth,
-                "sort_below_root": spec.sort_below_root,
-                "tt": "off",
-                "eval_cache": args.eval_cache,
-                "batch_eval": args.batch_eval,
-            },
-            cost_model=_config_json(DEFAULT_COST_MODEL),
+        record_path = _write_ledger_record(
+            spec, snap, args.ledger_dir, args.scale, eval_mode=args.eval_cache,
+            batch=args.batch_eval, live=live,
+            critpath=cp.composition() if cp is not None else None,
             whatif=whatif.to_records(points) if points else None,
-        )
-        problems = ledger.validate_record(record)
-        if problems:
-            raise SystemExit("ledger record invalid: " + "; ".join(problems))
-        record_path = ledger.write_record(
-            record, args.ledger_dir, name=ledger.record_name(record) + "_explain"
         )
         print(f"ledger: {record_path}")
     return 0
@@ -581,7 +554,7 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
         print(format_scaling_table(spec.name, serial_seconds, points))
     if args.obs:
         for count in counts:
-            _, snap, _, live = _observed_run(
+            _, snap, _, live, _ = _observed_run(
                 spec, args.backend, count, tt_mode=args.tt,
                 eval_mode=args.eval_cache, batch=args.batch_eval,
                 trace=args.trace if args.backend != "sim" else "off",
@@ -658,28 +631,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     counts = tuple(args.processors) if args.processors else PROCESSOR_COUNTS
     report = build_report(args.scale, processor_counts=counts)
     print(report.markdown)
-    return 0
-
-
-def _cmd_gantt(args: argparse.Namespace) -> int:
-    from .analysis.gantt import render_gantt
-    from .obs import critpath
-
-    spec = table3_suite(args.scale)[args.tree]
-    with contextlib.ExitStack() as stack:
-        recorder = stack.enter_context(critpath.recording()) if args.critpath else None
-        result = parallel_er(
-            spec.problem(),
-            args.processors_single,
-            config=er_config_for(spec),
-            record_timeline=True,
-        )
-    cp = critpath.extract(recorder, result.sim_time) if recorder is not None else None
-    print(
-        f"{spec.name} on {args.processors_single} processors "
-        f"(makespan {result.sim_time:.0f} simulated units):"
-    )
-    print(render_gantt(result.report, width=args.width, critpath=cp))
     return 0
 
 
@@ -1034,12 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--processors", type=int, nargs="*", default=None)
     base.set_defaults(func=_cmd_baselines)
 
-    loss = sub.add_parser("losses", help="Section 3.1 loss decomposition")
-    loss.add_argument("--tree", choices=("R1", "R2", "R3", "O1", "O2", "O3"), default="R1")
-    loss.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
-    loss.add_argument("-P", "--processors", dest="processors_single", type=int, default=8)
-    loss.set_defaults(func=_cmd_losses)
-
     speed = sub.add_parser(
         "speedup", help="compare backends (sim / threaded / multiproc) on one tree"
     )
@@ -1090,37 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     speed.set_defaults(func=_cmd_speedup)
 
-    trace = sub.add_parser(
-        "trace", help="emit a Perfetto-loadable Chrome trace for one run"
-    )
-    trace.add_argument(
-        "--backend", choices=("sim", "threaded", "multiproc"), default="sim"
-    )
-    trace.add_argument(
-        "--tree", choices=("R1", "R2", "R3", "O1", "O2", "O3"), default="R3"
-    )
-    trace.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
-    trace.add_argument("-P", "--processors", dest="processors_single", type=int, default=4)
-    trace.add_argument(
-        "-o", "--output", default=None, help="trace path (default: results/traces/...)"
-    )
-    trace.add_argument(
-        "--trace",
-        choices=("off", "sampled", "full"),
-        default="off",
-        help="real backends only: record wall-clock spans per OS worker and "
-        "merge them into the Perfetto output (one process row per worker)",
-    )
-    trace.add_argument(
-        "--jsonl", action="store_true", help="also write the raw event stream as JSONL"
-    )
-    trace.add_argument(
-        "--ledger-dir",
-        default=None,
-        help="also write a ledger record into this directory",
-    )
-    trace.set_defaults(func=_cmd_trace)
-
     compare = sub.add_parser(
         "compare", help="diff two ledger records and flag regressions"
     )
@@ -1146,7 +1060,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser(
         "explain",
-        help="critical-path blame report + causal what-if profile for one sim run",
+        help="where the time of one run went: loss split on every backend; "
+        "critical path, what-if and Gantt chart on sim",
+    )
+    explain.add_argument(
+        "--backend", choices=("sim", "threaded", "multiproc"), default="sim"
     )
     explain.add_argument(
         "--workload",
@@ -1190,17 +1108,32 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--skip-whatif",
         action="store_true",
-        help="print only the critical-path report (no perturbed re-runs)",
+        help="sim: print the critical-path report without perturbed re-runs",
+    )
+    explain.add_argument(
+        "--gantt",
+        action="store_true",
+        help="sim only: print the ASCII schedule chart with the critical path marked",
+    )
+    explain.add_argument(
+        "--trace",
+        choices=("off", "sampled", "full"),
+        default="off",
+        help="real backends only: record wall-clock spans per OS worker and "
+        "merge them into the --trace-out file (one process row per worker)",
     )
     explain.add_argument(
         "--trace-out",
         default=None,
-        help="also write a Chrome trace with the critical-path overlay here",
+        metavar="PATH",
+        help="also write a Perfetto trace here (critical-path overlay on sim, "
+        "live spans on real backends) and the raw events as PATH.jsonl",
     )
     explain.add_argument(
         "--ledger-dir",
         default=None,
-        help="also write a ledger record (critpath composition + what-if points)",
+        help="also write a ledger record (on sim with the critpath "
+        "composition and what-if points)",
     )
     explain.set_defaults(func=_cmd_explain)
 
@@ -1208,18 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
     report.add_argument("--processors", type=int, nargs="*", default=None)
     report.set_defaults(func=_cmd_report)
-
-    gantt = sub.add_parser("gantt", help="ASCII schedule chart of one parallel run")
-    gantt.add_argument("--tree", choices=("R1", "R2", "R3", "O1", "O2", "O3"), default="R3")
-    gantt.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
-    gantt.add_argument("-P", "--processors", dest="processors_single", type=int, default=8)
-    gantt.add_argument("--width", type=int, default=72)
-    gantt.add_argument(
-        "--critpath",
-        action="store_true",
-        help="overlay the extracted critical path as ^ marker rows",
-    )
-    gantt.set_defaults(func=_cmd_gantt)
 
     top = sub.add_parser(
         "top", help="live terminal dashboard over one running real-backend search"

@@ -43,20 +43,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "nodes generated" in out.lower()
 
-    def test_losses_command(self, capsys):
-        assert main(["losses", "--tree", "R3", "-P", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "speculative fraction" in out
-
     def test_demo_command(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
-
-    def test_gantt_command(self, capsys):
-        assert main(["gantt", "--tree", "R3", "-P", "4", "--width", "40"]) == 0
-        out = capsys.readouterr().out
-        assert "P0" in out and "legend" in out
 
     def test_baselines_command(self, capsys):
         assert main(["baselines", "--processors", "1", "2"]) == 0
@@ -64,52 +54,107 @@ class TestCommands:
         assert "aspiration" in out and "MWF" in out
 
 
-class TestObservability:
-    def test_trace_args(self):
-        args = build_parser().parse_args(["trace", "--tree", "R1", "-P", "2"])
+class TestExplain:
+    """``explain`` is the one report of where a run's time went."""
+
+    @pytest.mark.parametrize("name", ["trace", "gantt", "losses"])
+    def test_folded_commands_are_gone(self, name):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name])
+
+    def test_explain_args(self):
+        args = build_parser().parse_args(["explain", "--tree", "R1", "-P", "2"])
         assert args.tree == "R1"
         assert args.processors_single == 2
         assert args.backend == "sim"
+        assert args.trace == "off"
+        assert args.gantt is False
 
-    def test_trace_writes_trace_jsonl_and_ledger(self, tmp_path, capsys):
-        out = tmp_path / "run.trace.json"
-        assert (
-            main(
-                [
-                    "trace",
-                    "--tree",
-                    "R3",
-                    "-P",
-                    "2",
-                    "-o",
-                    str(out),
-                    "--jsonl",
-                    "--ledger-dir",
-                    str(tmp_path / "ledger"),
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(out.read_text())
-        assert payload["traceEvents"]
-        assert out.with_suffix(".jsonl").exists()
-        records = list((tmp_path / "ledger").glob("*.json"))
-        assert len(records) == 1
-        assert "perfetto" in capsys.readouterr().out.lower()
+    @staticmethod
+    def _split(out: str) -> tuple[float, dict[str, float]]:
+        """(processor-time, {part: amount}) parsed from the printed split."""
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("time split"))
+        total = float(lines[start].rsplit("=", 1)[1].rstrip("):"))
+        parts = {}
+        for line in lines[start + 1 : start + 6]:
+            name, amount, *_ = line.split()
+            if name != "speculative" or amount != "inside":
+                parts[name] = float(amount)
+        return total, parts
 
+    def test_sim_split_is_conserved(self, capsys):
+        assert main(["explain", "--workload", "R3", "--P", "4", "--skip-whatif"]) == 0
+        out = capsys.readouterr().out
+        total, parts = self._split(out)
+        assert set(parts) == {"busy", "starvation", "interference", "sum"}
+        accounted = parts["busy"] + parts["starvation"] + parts["interference"]
+        assert abs(accounted / total - 1.0) <= 1e-9
+        assert abs(parts["sum"] / total - 1.0) <= 1e-9
+        # The simulator does not yet measure speculative work apart from busy.
+        assert "speculative   inside busy (not yet separated" in out
+
+    def test_sim_rejects_span_tracing(self, capsys):
+        assert main(["explain", "--trace", "sampled", "--skip-whatif"]) == 2
+        assert "real backends only" in capsys.readouterr().err
+
+    def test_gantt_needs_the_sim_backend(self, capsys):
+        assert main(["explain", "--backend", "threaded", "--gantt"]) == 2
+        assert "--gantt" in capsys.readouterr().err
+
+    def test_sim_gantt_marks_the_critical_path(self, capsys):
+        assert main(["explain", "-P", "4", "--gantt", "--skip-whatif"]) == 0
+        out = capsys.readouterr().out
+        assert "P0" in out and "legend" in out
+        assert "^" in out and "critical path" in out
+
+    def test_threaded_prints_split(self, capsys):
+        assert main(["explain", "--backend", "threaded", "-P", "2"]) == 0
+        out = capsys.readouterr().out
+        total, parts = self._split(out)
+        assert {"busy", "starvation", "interference", "speculative"} <= set(parts)
+        assert "critical path" not in out
+
+    def test_multiproc_writes_trace_jsonl_record_and_split(self, tmp_path, capsys):
+        from repro.obs import ledger
+
+        out_path = tmp_path / "mp.trace.json"
+        ledger_dir = tmp_path / "ledger"
+        argv = [
+            "explain", "--backend", "multiproc", "-P", "2", "--trace", "sampled",
+            "--trace-out", str(out_path), "--ledger-dir", str(ledger_dir),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        events = json.loads(out_path.read_text())["traceEvents"]
+        rows = {
+            e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        workers = {name for name in rows if name.startswith("worker ")}
+        assert len(workers) == 2 and all("(os pid " in name for name in workers)
+        assert Path(f"{out_path}.jsonl").read_text().strip()
+        (record_path,) = ledger_dir.glob("*.json")
+        assert ledger.validate_record(json.loads(record_path.read_text())) == []
+        total, parts = self._split(out)
+        assert {"busy", "starvation", "interference", "speculative", "sum"} == set(parts)
+        assert "perfetto" in out.lower()
+
+
+class TestObservability:
     def test_compare_identical_runs_report_no_regressions(self, tmp_path, capsys):
         ledger_dir = tmp_path / "ledger"
         for name in ("a", "b"):
             assert (
                 main(
                     [
-                        "trace",
+                        "explain",
                         "--tree",
                         "R3",
                         "-P",
                         "2",
-                        "-o",
-                        str(tmp_path / f"{name}.trace.json"),
+                        "--skip-whatif",
                         "--ledger-dir",
                         str(ledger_dir / name),
                     ]
@@ -126,13 +171,12 @@ class TestObservability:
         assert (
             main(
                 [
-                    "trace",
+                    "explain",
                     "--tree",
                     "R3",
                     "-P",
                     "2",
-                    "-o",
-                    str(tmp_path / "base.trace.json"),
+                    "--skip-whatif",
                     "--ledger-dir",
                     str(ledger_dir),
                 ]

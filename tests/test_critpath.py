@@ -518,8 +518,5 @@ class TestSurfaces:
         assert "critpath" in record["snapshot"]
         payload = json.loads(trace_out.read_text())
         assert any(e.get("cat") == "critpath" for e in payload["traceEvents"])
+        assert Path(f"{trace_out}.jsonl").read_text().strip()
 
-    def test_cli_gantt_critpath_flag(self, capsys):
-        assert main(["gantt", "--tree", "R3", "-P", "2", "--critpath"]) == 0
-        out = capsys.readouterr().out
-        assert "^" in out and "critical path" in out
