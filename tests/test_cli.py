@@ -48,6 +48,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "speedup" in out
 
+    def test_gantt_command(self, capsys):
+        assert main(["explain", "--tree", "R3", "-P", "4", "--gantt", "--skip-whatif"]) == 0
+        out = capsys.readouterr().out
+        assert "P0" in out and "legend" in out
+
     def test_baselines_command(self, capsys):
         assert main(["baselines", "--processors", "1", "2"]) == 0
         out = capsys.readouterr().out
@@ -101,12 +106,6 @@ class TestExplain:
     def test_gantt_needs_the_sim_backend(self, capsys):
         assert main(["explain", "--backend", "threaded", "--gantt"]) == 2
         assert "--gantt" in capsys.readouterr().err
-
-    def test_sim_gantt_marks_the_critical_path(self, capsys):
-        assert main(["explain", "-P", "4", "--gantt", "--skip-whatif"]) == 0
-        out = capsys.readouterr().out
-        assert "P0" in out and "legend" in out
-        assert "^" in out and "critical path" in out
 
     def test_threaded_prints_split(self, capsys):
         assert main(["explain", "--backend", "threaded", "-P", "2"]) == 0

@@ -489,6 +489,11 @@ class TestSurfaces:
         assert main(["explain", "--workload", "R3", "-P", "2", "--skip-whatif"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_cli_gantt_critpath_flag(self, capsys):
+        assert main(["explain", "--tree", "R3", "-P", "2", "--gantt", "--skip-whatif"]) == 0
+        out = capsys.readouterr().out
+        assert "^" in out and "critical path" in out
+
     def test_cli_explain_whatif_writes_ledger_and_trace(self, capsys, tmp_path):
         trace_out = tmp_path / "explain.trace.json"
         assert (
