@@ -51,6 +51,8 @@ from .striped import TT, CacheKind
 
 #: One packed slot: key, value, depth, best_move, bound, padding.
 _RECORD = struct.Struct("<QdiiB3x")
+#: A slot's leading key alone.
+_KEY = struct.Struct("<Q")
 
 #: Bucket associativity: how many slots a key may occupy within its stripe.
 WAYS = 4
@@ -210,10 +212,12 @@ class SharedMemoryTT:
     def _probe_impl(self, key: int) -> Optional[TTEntry]:
         key = self._norm(key)
         stripe = key % self.n_stripes
+        buf = self._shm.buf
         with self._locks[stripe]:
             for offset in self._bucket_offsets(key):
-                slot_key, value, depth, move, bound = self._read(offset)
-                if slot_key == key:
+                # Only a way holding this key is unpacked whole.
+                if _KEY.unpack_from(buf, offset)[0] == key:
+                    _key, value, depth, move, bound = _RECORD.unpack_from(buf, offset)
                     self.hits += 1
                     return TTEntry(
                         value, depth, _CODE_TO_BOUND[bound], None if move < 0 else move
@@ -263,7 +267,7 @@ class SharedMemoryTT:
         """Occupied slots (full scan; for tests and reports, not hot paths)."""
         occupied = 0
         for slot in range(self.capacity):
-            (slot_key,) = struct.unpack_from("<Q", self._shm.buf, slot * _RECORD.size)
+            (slot_key,) = _KEY.unpack_from(self._shm.buf, slot * _RECORD.size)
             if slot_key != 0:
                 occupied += 1
         return occupied

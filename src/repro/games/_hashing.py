@@ -17,7 +17,10 @@ instead of one per ply.  The carried state is only a cache of
 
 from __future__ import annotations
 
-from .base import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .base import Path
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

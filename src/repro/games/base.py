@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..errors import SearchError
+from ._hashing import splitmix64
 
 #: A position is any hashable object a game defines.  Typed as ``Any``
 #: rather than ``Hashable`` as a deliberate gradual-typing seam: each
@@ -69,9 +70,6 @@ def hash_key(game: Game, position: Position) -> int:
     qualifies — because CPython salts ``str``/``bytes`` hashing per
     process.
     """
-    # Imported here: ``_hashing`` imports ``Path`` from this module.
-    from ._hashing import splitmix64
-
     method = getattr(game, "hash_key", None)
     if method is not None:
         return int(method(position))

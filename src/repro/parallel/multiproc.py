@@ -507,7 +507,8 @@ class EnginePool:
     :class:`WorkerLedger` of per-worker busy seconds and trace spans
     (same index convention as :class:`MultiprocResult.per_worker`), merged
     :class:`~repro.search.stats.SearchStats` over every result passed to
-    :meth:`note_outcome`, and task/short-circuit counters.  :meth:`close`
+    :meth:`note_outcome`, and task, short-circuit and table-answer
+    counters (the last two kept by the service's engine).  :meth:`close`
     is idempotent and tears down the task channel and both shared segments;
     the soak battery asserts nothing leaks past it.
     """
@@ -556,6 +557,7 @@ class EnginePool:
             "tasks_submitted": 0,
             "tasks_completed": 0,
             "tt_short_circuits": 0,
+            "table_answers": 0,
         }
         self._closed = False
         self._final_counters: dict[str, int] = {}
@@ -656,15 +658,13 @@ class EnginePool:
         the open window, the one :func:`~repro.core.serial_er.er_search`
         applies at the subtree's root, so a short-circuit here returns
         exactly what the worker would have.  At an open window only an
-        EXACT entry (or a bound at infinity) answers.
+        EXACT entry (or a bound at infinity) answers.  It counts nothing:
+        the caller counts, in ``tt_short_circuits``, the values it used.
         """
         table = self.shared_tt
         if table is None:
             return None
-        value = usable_value(table.probe(key), depth, NEG_INF, POS_INF)
-        if value is not None:
-            self.counters["tt_short_circuits"] += 1
-        return value
+        return usable_value(table.probe(key), depth, NEG_INF, POS_INF)
 
     # -- lifecycle ----------------------------------------------------------
 

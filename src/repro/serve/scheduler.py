@@ -14,10 +14,11 @@ Hypothesis battery in ``tests/test_serve_scheduler.py`` — is:
   order within every class is preserved;
 * **deadline semantics** — deadlines gate *deepening*, not execution:
   after every completed iteration the clock is checked, and an expired
-  request stops with the best move so far (``anytime``).  The first
-  iteration always runs, so an admitted request is never answered
-  without a move, and a deadline is honored within one deepening
-  iteration's latency;
+  request stops with the best move so far (``anytime``).  A request
+  the engine answers from its table at ``max_depth`` runs no iteration
+  and is never ``anytime``; otherwise the first iteration always runs,
+  so an admitted request is never answered without a move, and a
+  deadline is honored within one deepening iteration's latency;
 * **graceful drain** — :meth:`RequestScheduler.drain` stops admission
   (new arrivals shed with reason ``shutdown``) and completes every
   already-admitted request.
@@ -110,7 +111,18 @@ class DeepeningEngine(Protocol):
     the same object in every iteration.  Splitting the search at
     iteration granularity is what gives the scheduler its anytime
     deadline point without reaching inside a search.
+
+    ``answer_from_table(request, depth, resolved)`` is asked once,
+    before the first iteration, with ``depth = request.max_depth``.  It
+    submits nothing and returns what ``run_iteration`` at that depth
+    would, when the engine's table alone already holds it, else
+    ``None``; the scheduler then runs iterations 1…``max_depth`` as
+    usual.
     """
+
+    def answer_from_table(
+        self, request: SearchRequest, depth: int, resolved: Any
+    ) -> Optional[IterationResult]: ...
 
     def run_iteration(
         self, request: SearchRequest, depth: int, resolved: Any
@@ -421,7 +433,15 @@ class RequestScheduler:
         engine = self._engine
         assert engine is not None, "a detached scheduler runs nothing"
         try:
-            for depth in range(1, request.max_depth + 1):
+            # A table answer is what the last iteration would reply: an
+            # entry deep enough for it answers every shallower
+            # iteration's probe too, and the last iteration overwrites them.
+            iter_start = self._clock()
+            best = engine.answer_from_table(request, request.max_depth, ticket.resolved)
+            if best is not None:
+                iteration_bounds.append((iter_start, self._clock()))
+                depth_reached = request.max_depth
+            for depth in range(depth_reached + 1, request.max_depth + 1):
                 iter_start = self._clock()
                 best = await engine.run_iteration(request, depth, ticket.resolved)
                 iter_end = self._clock()

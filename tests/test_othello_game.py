@@ -149,3 +149,44 @@ class TestGoldenSemantics:
             "96f0fe5275611344f92da48f03f9009b4e8495a167c043a67928179bca08dbe0",
             2263,
         )
+
+
+def per_disc_key(position: OthelloPosition) -> int:
+    """The Zobrist key's definition: every disc's key, one at a time."""
+    from repro.games.othello.game import _SIDE, _ZOBRIST
+
+    key = _SIDE if position.color == WHITE else 0
+    for square in range(64):
+        if position.black >> square & 1:
+            key ^= _ZOBRIST[square][BLACK]
+        if position.white >> square & 1:
+            key ^= _ZOBRIST[square][WHITE]
+    return key
+
+
+class TestZobristKey:
+    def test_byte_table_keys_equal_per_disc_keys(self):
+        game = Othello()
+        rng = random.Random(0x2E7)
+        checked = passes = 0
+        for root in (START, O1_ROOT, O2_ROOT, O3_ROOT):
+            for _ in range(8):
+                position = root
+                while True:
+                    assert Othello.hash_key(position) == per_disc_key(position)
+                    checked += 1
+                    kids = game.children(position)
+                    if not kids:
+                        break
+                    if len(kids) == 1 and (kids[0].own, kids[0].opp) == (
+                        position.opp,
+                        position.own,
+                    ):
+                        passes += 1
+                    position = kids[rng.randrange(len(kids))]
+        assert checked > 1000 and passes > 0
+
+    def test_full_bytes_for_either_side_to_move(self):
+        full = OthelloPosition(B.FULL ^ 0xFF, 0xFF, BLACK)
+        for position in (full, OthelloPosition(full.opp, full.own, WHITE)):
+            assert Othello.hash_key(position) == per_disc_key(position)

@@ -80,6 +80,11 @@ class FakeEngine:
     def __init__(self, clock: FakeClock) -> None:
         self.clock = clock
 
+    def answer_from_table(
+        self, request: SearchRequest, depth: int, resolved: object = None
+    ) -> Optional[IterationResult]:
+        return None
+
     async def run_iteration(
         self, request: SearchRequest, depth: int, resolved: object = None
     ) -> IterationResult:

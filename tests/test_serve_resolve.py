@@ -7,8 +7,9 @@ deepening iteration.  These tests pin the "once": path replays and
 Othello rehashes are counted per request, one request object may be
 in flight twice, invalid requests still never reach admission, and a
 warm request leaves (almost) nothing behind in the service's metrics,
-and a repeated request is answered from the table alone.  Also here:
-the loopback rule for ``op: shutdown``.
+and a repeated request is answered from the table alone, before its
+deepening loop, while a table that answers only part of it changes
+nothing.  Also here: the loopback rule for ``op: shutdown``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from repro.serve import (
     SearchService,
     ServeConfig,
 )
-from repro.serve.api import decode_line, encode_line
+from repro.search.transposition import Bound, TTEntry
+from repro.serve.api import SearchReply, decode_line, encode_line
+from repro.serve.pool import PoolEngine
 from repro.serve.server import is_loopback_peer
 
 #: An Othello position with several moves, two plies from O1's root.
@@ -135,9 +138,10 @@ class TestResolveOnce:
 class TestRepeatedRequest:
     """A repeated request is answered from the warm table.
 
-    The first request stores every root child's EXACT value at every
-    deepening depth, so the second identical one probes each child once
-    per iteration, short-circuits all of them and submits no task.
+    The first request stores every root child's EXACT value at depth
+    ``max_depth - 1``, so the second identical one is answered before
+    its deepening loop: one probe per child, one iteration span, and no
+    task submitted.
     """
 
     @pytest.mark.parametrize(
@@ -170,10 +174,91 @@ class TestRepeatedRequest:
         assert second.per_move_values == first.per_move_values
         assert len(second.per_move_values) == n_children
         assert after["tasks_submitted"] == before["tasks_submitted"]
-        assert (
-            after["tt_short_circuits"] - before["tt_short_circuits"]
-            == n_children * max_depth
+        assert after["tt_short_circuits"] - before["tt_short_circuits"] == n_children
+        assert after["table_answers"] - before["table_answers"] == 1
+        assert second.timing is not None and len(second.timing.iterations_s) == 1
+
+
+def child_values(reply) -> list[float]:
+    """Each root child's own value: the reply's per-move values, negated back."""
+    return [-value for value in reply.per_move_values]
+
+
+class TestTableAnswer:
+    """What the table answer may and may not do."""
+
+    MAX_DEPTH = 3
+
+    def request(self, request_id: str, max_depth: int = MAX_DEPTH, **fields) -> SearchRequest:
+        return SearchRequest(
+            request_id=request_id, workload=WORKLOAD, path=PATH, max_depth=max_depth, **fields
         )
+
+    def cold_reply(self) -> SearchReply:
+        async def scenario():
+            async with SearchService(small_config()) as service:
+                return await service.handle(self.request("cold"))
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize("warm_up", ["all-but-last-child", "all-shallower"])
+    def test_partial_table_runs_the_full_loop(self, warm_up: str) -> None:
+        cold = self.cold_reply()
+        n_children = len(cold.per_move_values)
+
+        async def scenario():
+            async with SearchService(small_config()) as service:
+                pool = service.pool
+                assert pool is not None and pool.shared_tt is not None
+                resolved = service._resolve(self.request("warm"))
+                if warm_up == "all-but-last-child":
+                    # Every child's exact value at D-1, but the last one's.
+                    depth = self.MAX_DEPTH - 1
+                    for key, value in zip(resolved.keys[:-1], child_values(cold)[:-1]):
+                        pool.shared_tt.store(key, TTEntry(value, depth, Bound.EXACT, None))
+                else:
+                    await service.handle(self.request("shallow", max_depth=self.MAX_DEPTH - 1))
+                before = dict(pool.counters)
+                attempt = PoolEngine(pool).answer_from_table(
+                    self.request("attempt"), self.MAX_DEPTH, resolved
+                )
+                assert dict(pool.counters) == before
+                reply = await service.handle(self.request("warm"))
+                return attempt, reply, before, dict(pool.counters)
+
+        attempt, warm, before, after = asyncio.run(scenario())
+        assert attempt is None
+        assert warm.status == STATUS_OK and warm.timing is not None
+        assert len(warm.timing.iterations_s) == self.MAX_DEPTH
+        for field in ("move_index", "value", "depth_reached", "per_move_values", "anytime"):
+            assert getattr(warm, field) == getattr(cold, field), field
+        assert after["table_answers"] == before["table_answers"]
+        # Only the loop's hits count: every stored child in all D
+        # iterations, or every child in the D-1 iterations the shallower
+        # request already searched.
+        expected = (
+            (n_children - 1) * self.MAX_DEPTH
+            if warm_up == "all-but-last-child"
+            else n_children * (self.MAX_DEPTH - 1)
+        )
+        assert after["tt_short_circuits"] - before["tt_short_circuits"] == expected
+
+    def test_table_answer_under_an_expired_deadline_is_not_anytime(self) -> None:
+        async def scenario():
+            async with SearchService(small_config()) as service:
+                assert service.pool is not None
+                await service.handle(self.request("first"))
+                before = service.pool.counters["table_answers"]
+                reply = await service.handle(self.request("late", deadline_s=0.0))
+                return reply, service.pool.counters["table_answers"] - before
+
+        reply, answered = asyncio.run(scenario())
+        assert answered == 1
+        assert reply.status == STATUS_OK
+        assert reply.anytime is False and reply.depth_reached == self.MAX_DEPTH
+        assert reply.timing is not None
+        assert reply.timing.conservation_problems() == []
+        assert len(reply.timing.iterations_s) == 1
 
 
 class TestWarmRequestRetention:

@@ -54,6 +54,11 @@ class FakeEngine:
         self.started: list[str] = []  # request_id at first-iteration start
         self.iterations = 0
 
+    def answer_from_table(
+        self, request: SearchRequest, depth: int, resolved: object = None
+    ) -> Optional[IterationResult]:
+        return None
+
     async def run_iteration(
         self, request: SearchRequest, depth: int, resolved: object = None
     ) -> IterationResult:
