@@ -17,9 +17,10 @@ present and individually switchable for the ablation benchmarks:
 * **multiple e-children** — idle processors pop e-nodes off the
   speculative queue and start evaluating their next-best child.
 
-Below ``serial_depth`` remaining plies, popped e/r-nodes are searched by
-serial ER in one piece (Table 3's "Serial Depth" column); undecided nodes
-still expand their first child so the elder-grandchild structure survives
+From ply ``serial_depth`` on, a popped e/r-node above the horizon ships
+whole (:meth:`_Context.ships_whole`): serial ER searches it in one piece,
+unexpanded (Table 3's "Serial Depth" column); undecided nodes still
+expand their first child so the elder-grandchild structure survives
 down to the boundary.
 
 Faithfulness notes (deviations are deliberate and documented):
@@ -585,9 +586,17 @@ class _Context:
             return CUT, window
         return LIVE, window
 
-    def at_serial_depth(self, node: PNode) -> bool:
-        """Whether ``node`` is searched serially in one piece (Table 3)."""
-        return node.ntype in (E_NODE, R_NODE) and node.ply >= self.config.serial_depth
+    def ships_whole(self, node: PNode) -> bool:
+        """Whether ``node`` goes to serial ER in one piece, unexpanded (Table 3).
+
+        The serial search generates its children (and scores a game-over
+        position) itself.
+        """
+        return (
+            node.ntype in (E_NODE, R_NODE)
+            and node.ply >= self.config.serial_depth
+            and not self.problem.is_horizon(node.ply)
+        )
 
     def expand_children(self, node: PNode, pushes: list[tuple[str, PNode]]) -> None:
         """Table 1 node generation above serial depth."""
@@ -1085,6 +1094,15 @@ def _process_primary(
         yield from _finish_node(ctx, node, stats, pid, value=hit)
         return
 
+    if ctx.ships_whole(node):
+        if node.next_child > 0:
+            # First child already fully evaluated while the node was
+            # undecided: search only the remaining children serially.
+            yield from _serial_refute_remaining(ctx, node, stats, window, pid)
+        else:
+            yield from _serial_evaluate(ctx, node, stats, window, pid)
+        return
+
     # Generate child positions (cheap move generation, outside the locks).
     expand_cost, expand_parts = ctx.expand_positions(node, stats, pid)
     if expand_cost:
@@ -1109,15 +1127,6 @@ def _process_primary(
             yield from _eval_store_parallel(ctx, node, leaf_value, stats, pid)
         yield from _tt_store_leaf(ctx, node, leaf_value, stats, pid)
         yield from _finish_node(ctx, node, stats, pid, value=leaf_value)
-        return
-
-    if ctx.at_serial_depth(node):
-        if node.next_child > 0:
-            # First child already fully evaluated while the node was
-            # undecided: search only the remaining children serially.
-            yield from _serial_refute_remaining(ctx, node, stats, window, pid)
-        else:
-            yield from _serial_evaluate(ctx, node, stats, window, pid)
         return
 
     pushes: list[tuple[str, PNode]] = []
@@ -1164,23 +1173,11 @@ def _charge_serial(
     return True
 
 
-def _merge_substats(ctx: _Context, stats: SearchStats, sub: SearchStats, prefix: Path) -> None:
+def _merge_substats(stats: SearchStats, sub: SearchStats, prefix: Path) -> None:
     """Fold a subtree search's accounting in, re-rooting its trace."""
-    if stats.trace is not None and sub.trace is not None:
-        stats.trace.update(prefix + p for p in sub.trace)
-        sub.trace = None
-    stats.interior_visits += sub.interior_visits
-    stats.leaf_evals += sub.leaf_evals
-    stats.ordering_evals += sub.ordering_evals
-    stats.nodes_generated += sub.nodes_generated
-    stats.cutoffs += sub.cutoffs
-    stats.static_evals += sub.static_evals
-    stats.batch_calls += sub.batch_calls
-    stats.batch_leaves += sub.batch_leaves
-    stats.eval_probes += sub.eval_probes
-    stats.eval_hits += sub.eval_hits
-    stats.eval_stores += sub.eval_stores
-    stats.cost += sub.cost
+    if sub.trace is not None:
+        sub.trace = {prefix + p for p in sub.trace}
+    stats.merge(sub)
 
 
 def _serial_evaluate(
@@ -1207,7 +1204,7 @@ def _serial_evaluate(
         sub, alpha, beta, cost_model=ctx.cost_model, stats=substats,
         table=_tt_view(ctx, pid), evaluator=ctx.evaluator_for(pid, sub.game),
     )
-    _merge_substats(ctx, stats, substats, node.path)
+    _merge_substats(stats, substats, node.path)
     survived = yield from _charge_serial(
         ctx, node, substats.cost, stats, _serial_parts(ctx.cost_model, substats)
     )
@@ -1249,7 +1246,7 @@ def _serial_refute_remaining(
             sub, -beta, -value, cost_model=ctx.cost_model, stats=substats,
             table=_tt_view(ctx, pid), evaluator=ctx.evaluator_for(pid, sub.game),
         )
-        _merge_substats(ctx, stats, substats, node.path + (index,))
+        _merge_substats(stats, substats, node.path + (index,))
         survived = yield from _charge_serial(
             ctx, node, substats.cost, stats, _serial_parts(ctx.cost_model, substats)
         )

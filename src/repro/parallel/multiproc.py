@@ -62,9 +62,10 @@ run against the window captured at dispatch, results of subtrees
 orphaned by a cutoff are discarded on arrival (their node counts are
 still merged — the work *was* performed), and a primary node takes the
 simulator's steps in the simulator's order — screen, shared-table
-probe, expansion, then leaf, serial task, or child generation — with
-one exception: a node that ships whole as an ``eval`` task goes to its
-worker unexpanded, since the worker generates its children anyway.
+probe, then either a serial task for a node that ships whole
+(:meth:`~repro.core.er_parallel._Context.ships_whole`: it goes to its
+worker unexpanded, since the worker generates its children anyway), or
+expansion followed by a leaf's finish or child generation.
 When the run ends, raised or not, the coordinator breaks the tree's
 parent links (:meth:`~repro.core.er_parallel._Context.release`), so
 each search's tree frees by refcount and the coordinator holds one tree
@@ -298,14 +299,9 @@ def _run_task(payload: tuple[Any, ...]) -> TaskOutcome:
     children_done = 0
     tag: Optional[str] = None
     if kind == "eval":
-        # The serve pool appends an optional request tag
-        # (``request_id/span_id``) so this task's span carries its
-        # originating request; the 4-tuple form stays the multiproc
-        # driver's wire format.
-        if len(payload) == 5:
-            _, problem, alpha, beta, tag = payload
-        else:
-            _, problem, alpha, beta = payload
+        # ``tag`` (``request_id/span_id``, or ``None``) lets this task's
+        # span carry the service request it serves.
+        _, problem, alpha, beta, tag = payload
         value = er_search(
             problem, alpha, beta, stats=stats, table=_WORKER_TT,
             evaluator=_worker_evaluator(problem.game),
@@ -610,10 +606,7 @@ class EnginePool:
         so the worker's span for this task carries its originating
         request — the propagation leg of request-scoped tracing.
         """
-        payload: tuple[object, ...] = ("eval", problem, alpha, beta)
-        if tag is not None:
-            payload = payload + (tag,)
-        future = self.executor.submit(_run_task, payload)
+        future = self.executor.submit(_run_task, ("eval", problem, alpha, beta, tag))
         self.counters["tasks_submitted"] += 1
         return future
 
@@ -917,20 +910,12 @@ class Coordinator:
             self.counters["tt_coord_hits"] += 1
             self._finish(node, hit)
             return
-        if (
-            node.next_child == 0
-            and ctx.at_serial_depth(node)
-            and not ctx.problem.is_horizon(node.ply)
-        ):
-            # The whole subtree ships to a worker, which generates these
-            # children itself (a game-over position included).
+        if ctx.ships_whole(node):
             self.submit(node, window)
             return
         ctx.expand_positions(node, self.stats)
         if node.is_leaf:
             self._finish(node, self._leaf_value(node))
-        elif ctx.at_serial_depth(node):
-            self.submit(node, window)
         else:
             pushes: list[tuple[str, PNode]] = []
             ctx.expand_children(node, pushes)
@@ -967,7 +952,7 @@ class Coordinator:
                 window[1],
             )
         else:
-            payload = ("eval", subproblem(problem, node.position, node.ply), *window)
+            payload = ("eval", subproblem(problem, node.position, node.ply), *window, None)
         future = self.executor.submit(_run_task, payload)
         self.counters["tasks_submitted"] += 1
         self.pending[future] = (node, self._tick())

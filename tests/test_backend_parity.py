@@ -30,6 +30,7 @@ from repro.games.tictactoe import TicTacToe
 from repro.parallel.multiproc import multiproc_er
 from repro.parallel.threaded import threaded_er
 from repro.search.alphabeta import alphabeta
+from repro.workloads.suite import table3_suite
 
 # Small hand-built trees beyond the paper's two figures: a ragged tree,
 # a tree whose best move is last, and one with repeated values (tie
@@ -162,3 +163,18 @@ def test_engines_choose_the_same_move(game, depth):
     for choice in choices[1:]:
         assert choice.move_index == reference.move_index
         assert choice.per_move_values == reference.per_move_values
+
+
+@pytest.mark.parametrize("tree", ["O1", "R3"])
+def test_serial_depth_zero_examines_what_serial_er_does(tree):
+    """With the cutover at the root, one processor hands the whole tree to
+    serial ER unexpanded, so every backend counts serial ER's nodes: a
+    serial-subtree root is expanded once, by the serial search."""
+    problem = table3_suite("reduced")[tree].problem()
+    config = ERConfig(serial_depth=0)
+    serial = er_search(problem)
+    simulated = parallel_er(problem, 1, config=config)
+    threaded_value, threaded_stats = threaded_er(problem, 1, config=config)
+    assert simulated.value == threaded_value == serial.value
+    assert simulated.stats.nodes_examined == serial.stats.nodes_examined
+    assert threaded_stats.nodes_examined == serial.stats.nodes_examined

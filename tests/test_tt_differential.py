@@ -20,7 +20,7 @@ Two more properties are pinned beyond value equality:
 import pytest
 
 from repro.cache import SimStripedTT, WorkerLocalTT, make_tt
-from repro.core.er_parallel import parallel_er
+from repro.core.er_parallel import ERConfig, parallel_er
 from repro.core.serial_er import er_search
 from repro.games.base import SearchProblem
 from repro.games.connect4 import ConnectFour
@@ -122,6 +122,25 @@ class TestSimDifferential:
         for key in ("tt_hits", "tt_misses", "tt_stores", "tt_evictions", "tt_contended"):
             assert key in result.extras
         assert result.stats.tt_probes > 0
+
+
+class TestStatsCountEveryProbe:
+    """A run's ``tt_probes``/``tt_stores`` include its serial subtree
+    searches, so under one shared table they equal the table's own tally."""
+
+    @pytest.mark.parametrize("backend", ["sim", "threaded"])
+    @pytest.mark.parametrize("name,problem", [BATTERY[0], BATTERY[6]], ids=[IDS[0], IDS[6]])
+    def test_stats_match_table_counters(self, name, problem, backend):
+        tt = make_tt("shared")
+        config = ERConfig(serial_depth=1)
+        if backend == "sim":
+            stats = parallel_er(problem, 4, config=config, tt=tt).stats
+        else:
+            _, stats = threaded_er(problem, 4, config=config, tt=tt)
+        counters = tt.counter_snapshot()
+        assert stats.tt_stores > 0
+        assert stats.tt_probes == counters["tt_hits"] + counters["tt_misses"]
+        assert stats.tt_stores == counters["tt_stores"]
 
 
 class TestThreadedDifferential:
