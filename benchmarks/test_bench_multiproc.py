@@ -123,7 +123,7 @@ def test_multiproc_scaling(benchmark, scale, record_scaling, record_ledger):
         p.n_workers: {
             "starvation": round(p.result.starvation_fraction, 3),
             "interference": round(p.result.interference_fraction, 3),
-            "speculative": round(p.result.speculative_fraction, 3),
+            "moot": round(p.result.busy_wasted_seconds / p.result.processor_seconds, 3),
         }
         for p in points
     }
@@ -135,7 +135,7 @@ def test_multiproc_scaling(benchmark, scale, record_scaling, record_ledger):
         fractions = (
             point.result.starvation_fraction
             + point.result.interference_fraction
-            + point.result.speculative_fraction
+            + point.result.busy_wasted_seconds / point.result.processor_seconds
         )
         assert 0.0 <= fractions <= 1.0 + 1e-9
     # Real-parallelism claims need real cores to test.

@@ -9,16 +9,17 @@ makes ``repro-gametree compare`` against a committed baseline meaningful
 in CI.
 
 The benchmark also pins the paper's Section 3.1 accounting exactly: per
-processor, busy + interference + starvation + speculative must equal the
-processor's finish time, and adding tail idle must reach the makespan.
+processor, mandatory + speculative + overhead + interference + starvation
+must equal the processor's finish time, and adding tail idle must reach
+the makespan.
 """
 
 from __future__ import annotations
 
-from repro.analysis.experiments import er_config_for
+from repro.analysis.experiments import er_config_for, serial_baselines
+from repro.analysis.losses import loss_report
 from repro.core.er_parallel import parallel_er
-from repro.obs import observing
-from repro.obs.snapshot import snapshot_from_sim
+from repro.obs import critpath, observing
 from repro.workloads.suite import table3_suite
 
 N_PROCESSORS = 4
@@ -30,12 +31,16 @@ def test_sim_observed(benchmark, scale, record_ledger):
     config = er_config_for(spec)
 
     def run():
-        with observing() as bus:
-            result = parallel_er(problem, N_PROCESSORS, config=config)
-        return bus, result
+        with observing() as bus, critpath.recording() as recorder:
+            result = parallel_er(problem, N_PROCESSORS, config=config, trace=True)
+        return bus, result, recorder
 
-    bus, result = benchmark.pedantic(run, rounds=1, iterations=1)
-    snap = snapshot_from_sim(result, workload=spec.name, bus=bus)
+    bus, result, recorder = benchmark.pedantic(run, rounds=1, iterations=1)
+    base = serial_baselines(spec, trace=True)
+    snap = loss_report(
+        result, recorder.intervals, base.best_time, base.alphabeta.stats,
+        workload=spec.name, bus=bus,
+    )
 
     violations = snap.check_accounting()
     assert violations == [], "\n".join(violations)
@@ -57,4 +62,5 @@ def test_sim_observed(benchmark, scale, record_ledger):
         "starvation": round(snap.starvation_fraction, 4),
         "interference": round(snap.interference_fraction, 4),
         "speculative": round(snap.speculative_fraction, 4),
+        "overhead": round(snap.overhead_fraction, 4),
     }

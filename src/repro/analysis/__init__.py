@@ -18,7 +18,7 @@ from .experiments import (
 )
 from .gantt import render_gantt
 from .report import ReproductionReport, build_report
-from .losses import LossReport, WorkClassification, classify_work, loss_report
+from .losses import BusySplit, WorkClassification, classify_work, loss_report
 from .tree_stats import (
     BranchingProfile,
     OrderingQuality,
@@ -41,7 +41,7 @@ __all__ = [
     "format_efficiency_table",
     "format_nodes_table",
     "format_speedup_summary",
-    "LossReport",
+    "BusySplit",
     "WorkClassification",
     "classify_work",
     "loss_report",

@@ -72,11 +72,14 @@ class ScalingCurve:
 
 
 def serial_baselines(
-    spec: TreeSpec, *, cost_model: CostModel = DEFAULT_COST_MODEL
+    spec: TreeSpec, *, cost_model: CostModel = DEFAULT_COST_MODEL, trace: bool = False
 ) -> SerialBaselines:
-    """Run serial alpha-beta (with deep cutoffs) and serial ER on a tree."""
-    ab = alphabeta(spec.problem(), cost_model=cost_model)
-    er = er_search(spec.problem(), cost_model=cost_model)
+    """Run serial alpha-beta (with deep cutoffs) and serial ER on a tree;
+    ``trace`` logs alpha-beta's positions (:mod:`repro.analysis.losses`)."""
+    problem = spec.problem()
+    stats = SearchStats.with_trace(problem.game) if trace else None
+    ab = alphabeta(problem, cost_model=cost_model, stats=stats)
+    er = er_search(problem, cost_model=cost_model)
     if ab.value != er.value:
         raise AssertionError(
             f"serial algorithms disagree on {spec.name}: {ab.value} vs {er.value}"

@@ -141,13 +141,15 @@ def _observed_run(
     """Run one tree on one backend under a telemetry bus.
 
     Returns ``(bus, snapshot, sim_report, live, critpath)``.  On the
-    simulated backend the run is recorded with per-processor timelines
-    (the Perfetto tracks and the Gantt rows) under a schedule recorder,
-    and ``critpath`` is its extracted critical path; ``live`` is the
+    simulated backend the traced run is recorded with per-processor
+    timelines (the Perfetto tracks and the Gantt rows) under a schedule
+    recorder, ``critpath`` is its extracted critical path, and the
+    snapshot splits its busy time (:mod:`repro.analysis.losses`); ``live`` is the
     merged wall-clock span timeline when a real backend ran with
     ``trace`` enabled.  Each call builds a fresh eval cache, so the
     telemetry run is self-contained.
     """
+    from .analysis.losses import loss_report
     from .obs import critpath, observing
     from .obs import snapshot as obs_snapshot
 
@@ -159,9 +161,13 @@ def _observed_run(
                 result = parallel_er(
                     problem, count, config=config, tt=make_tt(tt_mode),
                     eval_cache=make_eval_cache(eval_mode), batch_eval=batch,
-                    record_timeline=True,
+                    record_timeline=True, trace=True,
                 )
-            snap = obs_snapshot.snapshot_from_sim(result, workload=spec.name, bus=bus)
+            base = serial_baselines(spec, trace=True)
+            snap = loss_report(
+                result, recorder.intervals, base.best_time, base.alphabeta.stats,
+                workload=spec.name, bus=bus,
+            )
             path = critpath.extract(recorder, result.sim_time)
             return bus, snap, result.report, None, path
         if backend == "threaded":
@@ -327,35 +333,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_split(snap: "Snapshot") -> str:
-    """The run's processor-time split into busy and the Section 3.1 losses.
-
-    Amounts are in the snapshot's time unit; the parts sum to
-    processors x makespan.  The simulator does not yet separate
-    speculative work from busy time, so its row says so instead of
-    printing a zero that was never measured.
-    """
-    rows = {
-        "busy": sum(p.busy for p in snap.processors),
-        "starvation": sum(p.starvation + p.tail_idle for p in snap.processors),
-        "interference": sum(p.interference for p in snap.processors),
-        "speculative": sum(p.speculative for p in snap.processors),
-    }
-    total = snap.processor_time
-    lines = [
-        f"time split ({snap.n_processors} processors x {snap.makespan:.6f} "
-        f"{snap.time_unit} = {total:.6f}):"
-    ]
-    for name, amount in rows.items():
-        if name == "speculative" and snap.backend == "sim":
-            lines.append(f"  {name:<13s} inside busy (not yet separated; ROADMAP item 1)")
-        else:
-            lines.append(f"  {name:<13s}{amount:>18.6f}  {amount / total:.3f}")
-    accounted = sum(rows.values())
-    lines.append(f"  {'sum':<13s}{accounted:>18.6f}  {accounted / total:.3f}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Where did the time go?  One run on any backend, explained.
 
@@ -372,6 +349,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """
     from .costmodel import CostModel
     from .obs import export, whatif
+    from .obs.snapshot import render_split
 
     sim = args.backend == "sim"
     if sim and args.trace != "off":
@@ -393,7 +371,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             f"{live.total_dropped} dropped, "
             f"overhead {live.overhead_fraction(snap.makespan):.2%} of wall time"
         )
-    print(_render_split(snap), end="")
+    print(render_split(snap), end="")
     problems = snap.check_accounting()
     for problem in problems:
         print(f"accounting violation: {problem}", file=sys.stderr)

@@ -256,6 +256,14 @@ class _Context:
         else:
             self.primary.push(self.root)
 
+    def new_stats(self) -> SearchStats:
+        """A fresh accumulator; it logs examined positions when traced."""
+        return SearchStats.with_trace(self.problem.game) if self.trace else SearchStats()
+
+    def examined(self, node: PNode, cost: float) -> tuple[tuple[int, float], ...]:
+        """``node``'s trace entry, for the ``Compute`` examining it (if traced)."""
+        return ((hash_key(self.problem.game, node.position), cost),) if self.trace else ()
+
     def release(self) -> None:
         """Break the finished tree's parent<->children cycles.
 
@@ -413,7 +421,7 @@ class _Context:
             node.child_positions = []
             node.children = []
             return 0.0, ()
-        expand_cost = stats.on_expand(node.path, len(successors), self.cost_model)
+        expand_cost = stats.on_expand(node.position, len(successors), self.cost_model)
         ordering_cost = 0.0
         ordering_parts: tuple[tuple[str, float], ...] = ()
         if node.ntype != E_NODE and self.problem.should_sort(node.ply):
@@ -820,24 +828,15 @@ def _serial_parts(cm: CostModel, sub: SearchStats) -> tuple[tuple[str, float], .
     ``ordering_evals`` count work whose cost was charged under
     ``batch_eval``/``eval_cache`` instead.
     """
-    static_eval = sub.static_evals * cm.static_eval
-    expansion = sub.interior_visits * cm.expand_base + sub.nodes_generated * cm.expand_per_child
-    tt_probe = sub.tt_probes * cm.tt_probe
-    tt_store = sub.tt_stores * cm.tt_store
-    batch = sub.batch_calls * cm.batch_eval_base + sub.batch_leaves * cm.batch_eval_per_leaf
-    eval_cache = sub.eval_probes * cm.eval_cache_probe + sub.eval_stores * cm.eval_cache_store
-    return tuple(
-        (name, weight)
-        for name, weight in (
-            ("static_eval", static_eval),
-            ("expansion", expansion),
-            ("tt_probe", tt_probe),
-            ("tt_store", tt_store),
-            ("batch_eval", batch),
-            ("eval_cache", eval_cache),
-        )
-        if weight > 0
-    )
+    weights = {
+        "static_eval": sub.static_evals * cm.static_eval,
+        "expansion": sub.interior_visits * cm.expand_base + sub.nodes_generated * cm.expand_per_child,
+        "tt_probe": sub.tt_probes * cm.tt_probe,
+        "tt_store": sub.tt_stores * cm.tt_store,
+        "batch_eval": sub.batch_calls * cm.batch_eval_base + sub.batch_leaves * cm.batch_eval_per_leaf,
+        "eval_cache": sub.eval_probes * cm.eval_cache_probe + sub.eval_stores * cm.eval_cache_store,
+    }
+    return tuple((name, weight) for name, weight in weights.items() if weight > 0)
 
 
 def _worker(ctx: _Context, stats: SearchStats, pid: int = 0) -> Generator[Op, None, None]:
@@ -1109,6 +1108,7 @@ def _process_primary(
         yield Compute(
             expand_cost,
             tag="expansion", node=_cp_path(node), cls=node.ntype, parts=expand_parts,
+            keys=ctx.examined(node, expand_cost),
         )
 
     if node.is_leaf:
@@ -1116,12 +1116,13 @@ def _process_primary(
         # (no locks held; hits need no window/depth qualification).
         cached = yield from _eval_probe_parallel(ctx, node, stats, pid)
         if cached is not None:
-            stats.note_leaf(node.path)
+            stats.note_leaf(node.position)
             leaf_value = cached
         else:
+            charged = stats.on_leaf(node.position, cm)
             yield Compute(
-                stats.on_leaf(node.path, cm),
-                tag="static_eval", node=_cp_path(node), cls=node.ntype,
+                charged, tag="static_eval", node=_cp_path(node), cls=node.ntype,
+                keys=ctx.examined(node, charged),
             )
             leaf_value = ctx.problem.game.evaluate(node.position)
             yield from _eval_store_parallel(ctx, node, leaf_value, stats, pid)
@@ -1138,30 +1139,29 @@ def _process_primary(
 
 
 def _charge_serial(
-    ctx: _Context,
-    node: PNode,
-    cost: float,
-    stats: SearchStats,
-    parts: tuple[tuple[str, float], ...] = (),
+    ctx: _Context, node: PNode, sub: SearchStats
 ) -> Generator[Op, None, bool]:
-    """Charge a serial search's time in abandonable chunks.
+    """Charge a serial search's time (``sub.cost``) in abandonable chunks.
 
     Yields chunks of at most ``chunk_units``; between chunks the worker
     re-checks the live tree — under the tree lock, since other workers
     mutate ancestor state under it — and abandons the remainder if the
     subtree is now moot.  Returns via StopIteration-value whether the
-    work survived.  ``parts`` (from :func:`_serial_parts`) rides on every
-    chunk so critical-path attribution can split the subtree's mixed
-    cost back into primitives.
+    work survived.  The subtree's primitive weights
+    (:func:`_serial_parts`) and, when traced, its examined positions ride
+    on every chunk, so critical-path attribution and the loss split can
+    divide the subtree's mixed cost.
     """
     cfg = ctx.config
     npath = _cp_path(node)
+    parts = _serial_parts(ctx.cost_model, sub)
+    keys = tuple(sub.trace) if sub.trace is not None else ()
     charged = 0.0
-    while charged < cost:
-        chunk = min(cfg.chunk_units, cost - charged)
-        yield Compute(chunk, tag="serial", node=npath, cls=node.ntype, parts=parts)
+    while charged < sub.cost:
+        chunk = min(cfg.chunk_units, sub.cost - charged)
+        yield Compute(chunk, tag="serial", node=npath, cls=node.ntype, parts=parts, keys=keys)
         charged += chunk
-        if charged < cost:
+        if charged < sub.cost:
             yield Acquire(ctx.tree_lock)
             ctx._note(node, READ)
             moot = node.done or ctx.has_finished_ancestor(node) or ctx.is_cut_off(node)
@@ -1171,13 +1171,6 @@ def _charge_serial(
             if moot:
                 return False
     return True
-
-
-def _merge_substats(stats: SearchStats, sub: SearchStats, prefix: Path) -> None:
-    """Fold a subtree search's accounting in, re-rooting its trace."""
-    if sub.trace is not None:
-        sub.trace = {prefix + p for p in sub.trace}
-    stats.merge(sub)
 
 
 def _serial_evaluate(
@@ -1194,7 +1187,7 @@ def _serial_evaluate(
     if moot:
         return
     sub = subproblem(ctx.problem, node.position, node.ply)
-    substats = SearchStats.with_trace() if ctx.trace else SearchStats()
+    substats = ctx.new_stats()
     # The serial search probes and stores through this worker's view; its
     # windows are pinned for the whole subtree, so every store classifies
     # soundly (serial_er module docstring).  Subtree keys match parallel
@@ -1204,10 +1197,8 @@ def _serial_evaluate(
         sub, alpha, beta, cost_model=ctx.cost_model, stats=substats,
         table=_tt_view(ctx, pid), evaluator=ctx.evaluator_for(pid, sub.game),
     )
-    _merge_substats(stats, substats, node.path)
-    survived = yield from _charge_serial(
-        ctx, node, substats.cost, stats, _serial_parts(ctx.cost_model, substats)
-    )
+    stats.merge(substats)
+    survived = yield from _charge_serial(ctx, node, substats)
     yield from _finish_node(
         ctx,
         node,
@@ -1241,15 +1232,13 @@ def _serial_refute_remaining(
     assert node.child_positions is not None
     for index in range(start, node.n_children):
         sub = subproblem(ctx.problem, node.child_positions[index], node.ply + 1)
-        substats = SearchStats.with_trace() if ctx.trace else SearchStats()
+        substats = ctx.new_stats()
         result = er_search(
             sub, -beta, -value, cost_model=ctx.cost_model, stats=substats,
             table=_tt_view(ctx, pid), evaluator=ctx.evaluator_for(pid, sub.game),
         )
-        _merge_substats(stats, substats, node.path + (index,))
-        survived = yield from _charge_serial(
-            ctx, node, substats.cost, stats, _serial_parts(ctx.cost_model, substats)
-        )
+        stats.merge(substats)
+        survived = yield from _charge_serial(ctx, node, substats)
         yield Acquire(ctx.tree_lock)
         ctx._bump("serial_searches")
         if survived:
@@ -1287,8 +1276,8 @@ def parallel_er(
             speculative mechanisms, like the paper's implementation.
         cost_model: operation costs; must match the serial baseline's when
             computing speedups.
-        trace: record every visited node path (enables loss analysis at
-            some memory cost).
+        trace: log every examined position and its cost (enables the loss
+            analysis of :mod:`repro.analysis.losses`, at some memory cost).
         record_timeline: record per-processor (kind, start, end) schedule
             intervals for :func:`repro.analysis.gantt.render_gantt`.
         tt: optional shared or per-worker transposition table
@@ -1324,9 +1313,7 @@ def parallel_er(
             problem, cost_model, config, trace, n_processors=n_processors,
             tt=tt, eval_cache=eval_cache, batch_eval=batch_eval,
         )
-        worker_stats = [
-            SearchStats.with_trace() if trace else SearchStats() for _ in range(n_processors)
-        ]
+        worker_stats = [ctx.new_stats() for _ in range(n_processors)]
         workers = [_worker(ctx, worker_stats[i], pid=i) for i in range(n_processors)]
         report = Engine(
             workers, max_events=config.max_events, record_timeline=record_timeline
@@ -1338,7 +1325,7 @@ def parallel_er(
     ctx.release()
     if not ctx.done:
         raise SimulationError("parallel ER finished without combining the root")
-    merged = SearchStats.with_trace() if trace else SearchStats()
+    merged = ctx.new_stats()
     for ws in worker_stats:
         merged.merge(ws)
     return ParallelResult(

@@ -49,22 +49,16 @@ from typing import Optional
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..eval.evaluator import Evaluator
-from ..games.base import NEG_INF, POS_INF, Path, Position, SearchProblem, hash_key
+from ..games.base import NEG_INF, POS_INF, Position, SearchProblem, hash_key
 from ..search.stats import SearchResult, SearchStats
 from ..search.transposition import Bound, TTEntry, TTView, usable_value
 
 
 @dataclass(slots=True)
 class ERRecord:
-    """Per-node state of Figure 8: tentative value, done flag, children.
-
-    ``path`` (successor indices from the search root) is filled in only
-    when the stats keep a node trace, the one reader of it; otherwise it
-    stays empty and no per-node path tuple is built.
-    """
+    """Per-node state of Figure 8: tentative value, done flag, children."""
 
     position: Position
-    path: Path
     ply: int
     value: float = NEG_INF
     done: bool = False
@@ -163,7 +157,7 @@ class _SerialER:
             record.is_leaf = True
             record.children = []
             return record.children
-        self.stats.on_expand(record.path, len(successors), self.cost_model)
+        self.stats.on_expand(record.position, len(successors), self.cost_model)
         order = list(range(len(successors)))
         batched: Optional[list[float]] = None
         if sort and self.problem.should_sort(record.ply):
@@ -175,11 +169,7 @@ class _SerialER:
                 self.stats.on_ordering(len(successors), self.cost_model)
                 static = [game.evaluate(child) for child in successors]
             order.sort(key=static.__getitem__)
-        traced = self.stats.trace is not None
-        record.children = [
-            ERRecord(successors[index], record.path + (index,) if traced else (), record.ply + 1)
-            for index in order
-        ]
+        record.children = [ERRecord(successors[index], record.ply + 1) for index in order]
         # Horizon-frontier prefetch: when every child sits on the horizon,
         # evaluate them as one batch now and stash the values (reusing the
         # ordering batch when one was just computed).  Children skipped by
@@ -196,15 +186,15 @@ class _SerialER:
 
     def _leaf_value(self, record: ERRecord) -> float:
         if record.prefetched is not None:
-            self.stats.note_leaf(record.path)
+            self.stats.note_leaf(record.position)
             return record.prefetched
         if self.evaluator is not None:
             # A leaf outside any prefetched frontier (game-terminal above
             # the horizon, or the subtree root itself): a batch of one,
             # through the cache if attached.
-            self.stats.note_leaf(record.path)
+            self.stats.note_leaf(record.position)
             return self.evaluator.single_value(record.position, self.stats)
-        self.stats.on_leaf(record.path, self.cost_model)
+        self.stats.on_leaf(record.position, self.cost_model)
         return self.problem.game.evaluate(record.position)
 
     # -- Figure 8, function ER -------------------------------------------
@@ -329,6 +319,6 @@ def er_search(
     if not alpha < beta:
         raise ValueError("ER window requires alpha < beta")
     searcher = _SerialER(problem, cost_model, stats, table, evaluator)
-    root = ERRecord(problem.game.root(), (), 0)
+    root = ERRecord(problem.game.root(), 0)
     value = searcher.evaluate(root, alpha, beta)
     return SearchResult(value=value, stats=stats)

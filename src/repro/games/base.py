@@ -2,10 +2,11 @@
 
 A *game* supplies positions, successor generation, and a static evaluator
 (Section 2 of the paper).  Search algorithms never inspect position
-internals; they identify nodes by their *path* from the root (a tuple of
-child indices), which makes node identity game-independent and lets the
-loss analysis (:mod:`repro.analysis.losses`) compare node sets across
-algorithms.
+internals.  A parallel search labels its tree nodes by *path* (a tuple of
+child indices from the root); a path means something only within one
+search, since child order differs between searches.  Work is compared
+across searches by position, through :func:`hash_key` (the loss analysis,
+:mod:`repro.analysis.losses`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ._hashing import splitmix64
 #: ``children``/``evaluate`` call site.
 Position = Any
 
-#: A node's identity: the sequence of child indices from the root.
+#: A node's label within one search: the sequence of child indices from the root.
 Path = tuple[int, ...]
 
 #: Value assigned to unexplored nodes; never attainable by an evaluator.

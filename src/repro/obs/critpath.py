@@ -62,7 +62,7 @@ class Interval:
     """One charged interval on one simulated processor.
 
     For ``kind == BUSY`` the charge metadata (``tag``/``node``/``cls``/
-    ``parts``) comes from the ``Compute`` op; for waits, ``tag`` names
+    ``parts``/``keys``) comes from the ``Compute`` op; for waits, ``tag`` names
     the lock or signal waited on and ``src`` the processor whose
     release/notify ended the wait.
     """
@@ -75,6 +75,7 @@ class Interval:
     node: str = ""
     cls: str = ""
     parts: Parts = ()
+    keys: tuple[tuple[int, float], ...] = ()
     src: int = -1
 
     @property
@@ -105,11 +106,12 @@ class ScheduleRecorder:
         node: str = "",
         cls: str = "",
         parts: Parts = (),
+        keys: tuple[tuple[int, float], ...] = (),
     ) -> None:
         """Record a positive-length ``Compute`` charge."""
         self.intervals.append(
             Interval(wid=wid, kind=BUSY, start=start, end=end, tag=tag,
-                     node=node, cls=cls, parts=parts)
+                     node=node, cls=cls, parts=parts, keys=keys)
         )
 
     def on_wait(

@@ -34,6 +34,13 @@ from .snapshot import SIM_UNITS, Snapshot
 
 SCHEMA_VERSION = 1
 
+#: Fields every record's snapshot, and each processor row in it, carries.
+_SNAPSHOT_KEYS = (
+    "backend", "time_unit", "n_processors", "makespan", "value", "processors", "counters",
+    "work", "fractions",
+)
+_ROW_KEYS = ("pid", "busy", "starvation", "interference", "speculative", "tail_idle", "finish_time")
+
 #: JSON-schema (draft 2020-12 subset) for one ledger record.  Kept in
 #: sync with :func:`make_record`; :func:`validate_record` enforces the
 #: same structure without requiring the ``jsonschema`` package.
@@ -114,17 +121,7 @@ LEDGER_SCHEMA: dict[str, object] = {
         },
         "snapshot": {
             "type": "object",
-            "required": [
-                "backend",
-                "time_unit",
-                "n_processors",
-                "makespan",
-                "value",
-                "processors",
-                "counters",
-                "work",
-                "fractions",
-            ],
+            "required": list(_SNAPSHOT_KEYS),
             "properties": {
                 "time_unit": {"enum": [SIM_UNITS, "seconds"]},
                 "makespan": {"type": "number", "minimum": 0},
@@ -135,15 +132,7 @@ LEDGER_SCHEMA: dict[str, object] = {
                     "type": "array",
                     "items": {
                         "type": "object",
-                        "required": [
-                            "pid",
-                            "busy",
-                            "starvation",
-                            "interference",
-                            "speculative",
-                            "tail_idle",
-                            "finish_time",
-                        ],
+                        "required": list(_ROW_KEYS),
                     },
                 },
             },
@@ -154,11 +143,17 @@ LEDGER_SCHEMA: dict[str, object] = {
 Record = dict[str, object]
 
 
+#: Suffix of a SHA recorded from a tree whose tracked files differ from it.
+DIRTY = "-dirty"
+
+
 def current_git_sha() -> str:
-    """HEAD's SHA, or ``"unknown"`` outside a git checkout."""
+    """HEAD's SHA, suffixed ``-dirty`` when a tracked file differs from
+    HEAD (the record came from uncommitted code), or ``"unknown"``
+    outside a git checkout."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--exclude=*", "--abbrev=40"],
             capture_output=True,
             text=True,
             timeout=10,
@@ -278,17 +273,7 @@ def validate_record(record: Record) -> list[str]:
     snapshot = record["snapshot"]
     if not isinstance(snapshot, dict):
         return problems + ["snapshot must be an object"]
-    for key in (
-        "backend",
-        "time_unit",
-        "n_processors",
-        "makespan",
-        "value",
-        "processors",
-        "counters",
-        "work",
-        "fractions",
-    ):
+    for key in _SNAPSHOT_KEYS:
         if key not in snapshot:
             problems.append(f"snapshot missing field: {key}")
     if problems:
@@ -305,15 +290,7 @@ def validate_record(record: Record) -> list[str]:
             if not isinstance(row, dict):
                 problems.append("processor row must be an object")
                 continue
-            for key in (
-                "pid",
-                "busy",
-                "starvation",
-                "interference",
-                "speculative",
-                "tail_idle",
-                "finish_time",
-            ):
+            for key in _ROW_KEYS:
                 if key not in row:
                     problems.append(f"processor row missing field: {key}")
     whatif = record.get("whatif")
@@ -456,7 +433,8 @@ class CompareReport:
 
 
 def _ident(record: Record) -> str:
-    sha = str(record.get("git_sha", "unknown"))[:10]
+    full = str(record.get("git_sha", "unknown"))
+    sha = full[:10] + (DIRTY if full.endswith(DIRTY) else "")
     return f"{record['backend']}/{record['workload']}/P{record['n_processors']}@{sha}"
 
 

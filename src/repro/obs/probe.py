@@ -164,7 +164,7 @@ class Probe:
         if self.schedule is not None and op.loss == _cp.BUSY and op.units > 0:
             self.schedule.on_busy(
                 wid, now, now + op.units,
-                tag=op.tag, node=op.node, cls=op.cls, parts=op.parts,
+                tag=op.tag, node=op.node, cls=op.cls, parts=op.parts, keys=op.keys,
             )
 
     def unblocked(

@@ -7,33 +7,32 @@ this module each backend reported that decomposition in its own shape —
 dicts for the threaded driver, and
 :class:`~repro.parallel.multiproc.MultiprocResult` for the process pool.
 A :class:`Snapshot` normalizes all three into per-processor
-busy / starvation / interference / speculative / tail-idle rows plus the
-shared protocol counters and work stats, which is what the run ledger
-(:mod:`repro.obs.ledger`) persists and compares.
+busy / speculative / overhead / starvation / interference / tail-idle
+rows plus the shared protocol counters and work stats, which is what the
+run ledger (:mod:`repro.obs.ledger`) persists and compares.
 
 Accounting semantics per backend:
 
 * **sim** — exact.  Every simulated instant of a processor's life up to
   its ``finish_time`` is busy, lock-blocked, or work-blocked, so
-  ``busy + interference + starvation (+ speculative=0) == finish_time``
-  to float round-off, and ``tail_idle`` covers the gap to the makespan.
-  Speculative loss is semantic in the simulator (wasted *busy* time, not
-  a separate timing state) and is reported at run level through the node
-  traces (:mod:`repro.analysis.losses`), so the per-processor column is
-  zero by construction.
+  ``busy + speculative + overhead + interference + starvation ==
+  finish_time`` to float round-off, and ``tail_idle`` covers the gap to
+  the makespan.  A classified traced run (:mod:`repro.analysis.losses`)
+  splits busy time into mandatory work (``busy``), speculative loss and
+  overhead; otherwise (:attr:`Snapshot.separated` false, as on the real
+  backends, ROADMAP item 4) ``busy`` holds all of it.
 * **threaded** — measured.  The driver times each thread's lock waits
   and work waits with the wall clock; busy is the remainder of the
   thread's lifetime.  Sums match each thread's measured lifetime, not
   the makespan, and carry scheduler noise.
-* **multiproc** — measured.  Worker busy time is split into applied
-  (mandatory) and moot-on-arrival (speculative) per worker process from
-  task timestamps; the coordinator's starvation integral and the IPC
-  residual are spread evenly across workers.
+* **multiproc** — measured.  Worker busy time comes from task
+  timestamps per worker process; the coordinator's starvation integral
+  and the IPC residual are spread evenly across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 from ..search.stats import SearchStats
@@ -41,6 +40,7 @@ from . import events as _events
 from . import registry as _registry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from ..analysis.losses import WorkClassification
     from ..parallel.base import ParallelResult
     from ..parallel.multiproc import MultiprocResult
     from ..parallel.threaded import ThreadedRun
@@ -61,34 +61,21 @@ class ProcBreakdown:
     speculative: float
     tail_idle: float
     finish_time: float
+    overhead: float = 0.0
 
     @property
     def accounted(self) -> float:
-        """Busy plus every loss category (excluding the idle tail)."""
-        return self.busy + self.starvation + self.interference + self.speculative
+        """Busy, overhead and every loss category (excluding the idle tail)."""
+        return self.busy + self.overhead + self.starvation + self.interference + self.speculative
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "pid": float(self.pid),
-            "busy": self.busy,
-            "starvation": self.starvation,
-            "interference": self.interference,
-            "speculative": self.speculative,
-            "tail_idle": self.tail_idle,
-            "finish_time": self.finish_time,
-        }
+        return {name: float(value) for name, value in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict[str, float]) -> "ProcBreakdown":
-        return cls(
-            pid=int(data["pid"]),
-            busy=float(data["busy"]),
-            starvation=float(data["starvation"]),
-            interference=float(data["interference"]),
-            speculative=float(data["speculative"]),
-            tail_idle=float(data["tail_idle"]),
-            finish_time=float(data["finish_time"]),
-        )
+        names = {f.name for f in fields(cls)}
+        values = {name: float(value) for name, value in data.items() if name in names}
+        return cls(**{**values, "pid": int(values["pid"])})  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -138,6 +125,21 @@ class Snapshot:
     def speculative_fraction(self) -> float:
         return self._fraction(sum(p.speculative for p in self.processors))
 
+    @property
+    def overhead_fraction(self) -> float:
+        return self._fraction(sum(p.overhead for p in self.processors))
+
+    @property
+    def separated(self) -> bool:
+        """Whether busy time was split into mandatory, speculative and overhead."""
+        return "speculative_examined" in self.work
+
+    @property
+    def efficiency(self) -> Optional[float]:
+        """Best serial time over processor-time, when the run recorded it."""
+        serial = self.work.get("serial_cost")
+        return None if serial is None else self._fraction(serial)
+
     # -- invariants ---------------------------------------------------------
 
     def check_accounting(self, rel_tolerance: float = 1e-9) -> list[str]:
@@ -151,9 +153,7 @@ class Snapshot:
         """
         problems: list[str] = []
         for proc in self.processors:
-            for name in ("busy", "starvation", "interference", "speculative", "tail_idle"):
-                if getattr(proc, name) < 0:
-                    problems.append(f"P{proc.pid}: negative {name}")
+            problems += [f"P{proc.pid}: negative {k}" for k, v in asdict(proc).items() if v < 0]
         if self.time_unit != SIM_UNITS:
             return problems
         tol = rel_tolerance * max(1.0, self.makespan)
@@ -189,6 +189,7 @@ class Snapshot:
                 "starvation": self.starvation_fraction,
                 "interference": self.interference_fraction,
                 "speculative": self.speculative_fraction,
+                "overhead": self.overhead_fraction,
             },
         }
         # Omitted when empty so pre-critpath records and golden bytes
@@ -218,19 +219,44 @@ class Snapshot:
         )
 
 
+def render_split(snap: Snapshot) -> str:
+    """The run's processor-time split (summing to processors x makespan)
+    and, when recorded, its efficiency and the unclamped remainder,
+    mandatory share minus efficiency.  An unsplit run says speculative
+    work was not separated rather than print a zero never measured."""
+    procs = snap.processors
+    rows = {
+        "mandatory" if snap.separated else "busy": sum(p.busy for p in procs),
+        "speculative": sum(p.speculative for p in procs),
+        "overhead": sum(p.overhead for p in procs),
+        "starvation": sum(p.starvation + p.tail_idle for p in procs),
+        "interference": sum(p.interference for p in procs),
+    }
+    total = snap.processor_time
+    lines = [
+        f"time split ({snap.n_processors} processors x {snap.makespan:.6f} "
+        f"{snap.time_unit} = {total:.6f}):"
+    ]
+    for name, amount in rows.items():
+        if not snap.separated and name == "speculative":
+            lines.append(f"  {name:<13s} not separated (item 4)")
+        elif snap.separated or name != "overhead":
+            lines.append(f"  {name:<13s}{amount:>18.6f}  {amount / total:.3f}")
+    accounted = sum(rows.values())
+    lines.append(f"  {'sum':<13s}{accounted:>18.6f}  {accounted / total:.3f}")
+    if snap.efficiency is not None:
+        remainder = snap.busy_fraction - snap.efficiency
+        lines.append(f"efficiency {snap.efficiency:.6f}  remainder {remainder:+.6f}")
+    return "\n".join(lines) + "\n"
+
+
 def work_dict(stats: SearchStats) -> dict[str, float]:
     """The comparable work counters of one run's merged stats."""
-    return {
-        "interior_visits": float(stats.interior_visits),
-        "leaf_evals": float(stats.leaf_evals),
-        "ordering_evals": float(stats.ordering_evals),
-        "nodes_generated": float(stats.nodes_generated),
-        "nodes_examined": float(stats.nodes_examined),
-        "cutoffs": float(stats.cutoffs),
-        "tt_probes": float(stats.tt_probes),
-        "tt_stores": float(stats.tt_stores),
-        "cost": float(stats.cost),
-    }
+    names = (
+        "interior_visits", "leaf_evals", "ordering_evals", "nodes_generated",
+        "nodes_examined", "cutoffs", "tt_probes", "tt_stores", "cost",
+    )
+    return {name: float(getattr(stats, name)) for name in names}
 
 
 def _metrics_from(bus: Optional[_events.EventBus]) -> dict[str, _registry.MetricValue]:
@@ -250,25 +276,41 @@ def snapshot_from_sim(
     workload: str = "",
     bus: Optional[_events.EventBus] = None,
     critpath: Optional[dict[str, float]] = None,
+    split: "Optional[WorkClassification]" = None,
+    serial_time: Optional[float] = None,
 ) -> Snapshot:
     """Freeze a simulated run (exact decomposition, simulated units).
 
     ``critpath`` takes a flat composition dict
     (:meth:`repro.obs.critpath.CriticalPath.composition`) when the run
-    was recorded under a schedule recorder.
+    was recorded under a schedule recorder.  ``split`` (the run's
+    :func:`~repro.analysis.losses.classify_work`) divides busy time and
+    joins ``work`` with ``serial_time``, the best serial algorithm's cost.
     """
-    processors = tuple(
-        ProcBreakdown(
-            pid=pid,
-            busy=m.busy,
-            starvation=m.starve_wait,
-            interference=m.lock_wait,
-            speculative=0.0,
-            tail_idle=m.tail_idle,
-            finish_time=m.finish_time,
+    rows = []
+    for pid, m in enumerate(result.report.processors):
+        mandatory, speculative, overhead = (
+            (m.busy, 0.0, 0.0) if split is None else split.busy.get(pid, (0.0, 0.0, 0.0))
         )
-        for pid, m in enumerate(result.report.processors)
-    )
+        rows.append(
+            ProcBreakdown(
+                pid=pid,
+                busy=mandatory,
+                starvation=m.starve_wait,
+                interference=m.lock_wait,
+                speculative=speculative,
+                tail_idle=m.tail_idle,
+                finish_time=m.finish_time,
+                overhead=overhead,
+            )
+        )
+    work = work_dict(result.stats)
+    if split is not None:
+        work["mandatory_examined"] = float(split.mandatory_examined)
+        work["speculative_examined"] = float(split.speculative_examined)
+        work["reference_examined"] = float(split.reference_total)
+    if serial_time is not None:
+        work["serial_cost"] = float(serial_time)
     return Snapshot(
         backend="sim",
         time_unit=SIM_UNITS,
@@ -276,9 +318,9 @@ def snapshot_from_sim(
         n_processors=result.n_processors,
         makespan=result.report.makespan,
         value=result.value,
-        processors=processors,
+        processors=tuple(rows),
         counters={k: float(v) for k, v in result.extras.items()},
-        work=work_dict(result.stats),
+        work=work,
         metrics=_metrics_from(bus),
         critpath=dict(critpath) if critpath else {},
     )
@@ -341,7 +383,8 @@ def snapshot_from_multiproc(
     stable worker indices ``MultiprocResult.per_worker`` is keyed with
     (the OS pid stays inside the value dict); the coordinator-integrated
     starvation and the IPC residual have no per-worker attribution and
-    are spread evenly.
+    are spread evenly.  Time on tasks whose result arrived moot stays in
+    busy and is counted apart as ``busy_wasted_seconds``.
     """
     n = result.n_workers
     starve_each = _nonneg(result.starvation_seconds) / n
@@ -349,15 +392,14 @@ def snapshot_from_multiproc(
     rows: list[ProcBreakdown] = []
     for index in range(n):
         split = result.per_worker.get(index)
-        applied = _nonneg(float(split["applied"])) if split else 0.0
-        wasted = _nonneg(float(split["wasted"])) if split else 0.0
+        busy = _nonneg(float(split["applied"]) + float(split["wasted"])) if split else 0.0
         rows.append(
             ProcBreakdown(
                 pid=index,
-                busy=applied,
+                busy=busy,
                 starvation=starve_each,
                 interference=interfere_each,
-                speculative=wasted,
+                speculative=0.0,
                 tail_idle=0.0,
                 finish_time=_nonneg(result.wall_time),
             )

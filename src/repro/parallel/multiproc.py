@@ -74,9 +74,9 @@ at a time.
 Loss accounting (paper Section 3.1), from per-worker counters: over the
 run's ``n_workers * wall_time`` processor-seconds,
 
-* **speculative loss** is worker time spent on subtree tasks whose
-  results were moot on arrival (an ancestor had combined or been cut
-  off) — completed work a serial search would not have needed;
+* **busy** is worker time on subtree tasks, ``applied`` or ``wasted``
+  (moot on arrival: an ancestor had finished).  Moot is not the paper's
+  speculative loss, which this backend does not separate;
 * **starvation loss** is worker time during which fewer tasks were in
   flight than workers (the heap had nothing at serial depth to hand
   out), integrated from the coordinator's submit/receive event log;
@@ -88,12 +88,13 @@ run's ``n_workers * wall_time`` processor-seconds,
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..cache.sharedmem import SharedMemoryTT
 from ..cache.striped import EVAL, TT, CacheKind, check_cache_mode, static_entry
@@ -114,7 +115,7 @@ from ..games.base import (
 from ..obs import events as _obs
 from ..obs import live as _live
 from ..obs import probe as _probe
-from ..search.stats import SearchStats
+from ..search.stats import COUNTERS, SearchStats
 from ..search.transposition import Bound, TranspositionTable, TTEntry, TTView, usable_value
 from .channel import IN_FLIGHT_PER_WORKER, TaskChannel
 
@@ -153,50 +154,14 @@ def default_serial_depth(depth: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-_PackedStats = tuple[int, int, int, int, int, int, int, int, int, int, int, int, int, float]
+_PackedStats = tuple[float, ...]
 
-
-def _pack_stats(stats: SearchStats) -> _PackedStats:
-    return (
-        stats.interior_visits,
-        stats.leaf_evals,
-        stats.ordering_evals,
-        stats.nodes_generated,
-        stats.cutoffs,
-        stats.tt_probes,
-        stats.tt_stores,
-        stats.static_evals,
-        stats.batch_calls,
-        stats.batch_leaves,
-        stats.eval_probes,
-        stats.eval_hits,
-        stats.eval_stores,
-        stats.cost,
-    )
+#: A worker's stats on the wire: the counters, in field order.
+_pack_stats: Callable[[SearchStats], _PackedStats] = operator.attrgetter(*COUNTERS)
 
 
 def _unpack_stats(packed: _PackedStats) -> SearchStats:
-    (
-        interior, leaves, ordering, generated, cutoffs, tt_probes, tt_stores,
-        static_evals, batch_calls, batch_leaves, eval_probes, eval_hits,
-        eval_stores, cost,
-    ) = packed
-    return SearchStats(
-        interior_visits=interior,
-        leaf_evals=leaves,
-        ordering_evals=ordering,
-        nodes_generated=generated,
-        cutoffs=cutoffs,
-        tt_probes=tt_probes,
-        tt_stores=tt_stores,
-        static_evals=static_evals,
-        batch_calls=batch_calls,
-        batch_leaves=batch_leaves,
-        eval_probes=eval_probes,
-        eval_hits=eval_hits,
-        eval_stores=eval_stores,
-        cost=cost,
-    )
+    return SearchStats(*packed)  # type: ignore[arg-type]
 
 
 #: Per-process transposition table set by the pool initializer below;
@@ -723,8 +688,7 @@ class MultiprocResult:
             cutoff discards, serial searches, task counts, ...).
         busy_applied_seconds: worker seconds on tasks whose results were
             used.
-        busy_wasted_seconds: worker seconds on tasks moot on arrival
-            (the run's speculative loss).
+        busy_wasted_seconds: worker seconds on tasks moot on arrival.
         starvation_seconds: integrated worker idleness while the heap had
             nothing to hand out.
         interference_seconds: residual processor-seconds (IPC, pickling,
@@ -768,10 +732,6 @@ class MultiprocResult:
     def _fraction(self, seconds: float) -> float:
         total = self.processor_seconds
         return seconds / total if total > 0 else 0.0
-
-    @property
-    def speculative_fraction(self) -> float:
-        return self._fraction(self.busy_wasted_seconds)
 
     @property
     def starvation_fraction(self) -> float:
@@ -881,10 +841,10 @@ class Coordinator:
             cached = self.shared_eval.probe(key)
             stats.on_eval_probe(cm, hit=cached is not None)
         if cached is not None:
-            stats.note_leaf(node.path)
+            stats.note_leaf(node.position)
             value = cached.value
         else:
-            stats.on_leaf(node.path, cm)
+            stats.on_leaf(node.position, cm)
             value = problem.game.evaluate(node.position)
             if self.shared_eval is not None:
                 stats.on_eval_store(cm)
@@ -962,8 +922,7 @@ class Coordinator:
         """Fold one task result into the tree, or discard it if moot.
 
         A result is moot when its node or an ancestor finished while the
-        task ran: its worker time counts as ``wasted`` (speculative loss)
-        and its node counts are still merged, since the work was done.
+        task ran: its worker time counts as ``wasted`` and its node counts are still merged, since the work was done.
         """
         self.stats.merge(_unpack_stats(outcome[2]))
         moot = node.done or self.ctx.has_finished_ancestor(node)
@@ -1317,7 +1276,7 @@ def format_scaling_table(
         f"{tree_name} P={p.n_workers}: wall={p.wall_time:.3f}s "
         f"starvation={p.result.starvation_fraction:.3f} "
         f"interference={p.result.interference_fraction:.3f} "
-        f"speculative={p.result.speculative_fraction:.3f}"
+        f"moot={p.result._fraction(p.result.busy_wasted_seconds):.3f}"
         for p in points
     )
     return "\n".join((header, row, summary, losses))

@@ -83,7 +83,7 @@ class _MWFRun:
         if not children:
             node.is_leaf = True
             return node
-        self.skeleton_cost += self.stats.on_expand(path, len(children), self.cost_model)
+        self.skeleton_cost += self.stats.on_expand(position, len(children), self.cost_model)
         if self.problem.should_sort(ply):
             self.skeleton_cost += self.stats.on_ordering(len(children), self.cost_model)
             static = [self.problem.game.evaluate(c) for c in children]
@@ -120,7 +120,7 @@ class _MWFRun:
 
     def _leaf_task(self, node: _MNode) -> ScheduledTask:
         def cost_fn() -> tuple[float, Any]:
-            charge = self.stats.on_leaf(node.path, self.cost_model)
+            charge = self.stats.on_leaf(node.position, self.cost_model)
             return charge, self.problem.game.evaluate(node.position)
 
         # Phase 1 (mandatory) work runs ahead of speculative work.

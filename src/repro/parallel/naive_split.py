@@ -37,11 +37,11 @@ class _NaiveRun:
             self.root_is_leaf = True
 
             def leaf_cost() -> tuple[float, Any]:
-                charge = self.stats.on_leaf((), self.cost_model)
+                charge = self.stats.on_leaf(root, self.cost_model)
                 return charge, game.evaluate(root)
 
             return [ScheduledTask(key=("root",), cost_fn=leaf_cost)]
-        self.stats.on_expand((), len(children), self.cost_model)
+        self.stats.on_expand(root, len(children), self.cost_model)
         tasks = []
         for index, child in enumerate(children):
 

@@ -54,7 +54,7 @@ class _PVSplitter(_Splitter):
         children = [] if self.problem.is_horizon(ply) else list(game.children(position))
         if not children:
             return self._serial_leaf(position, ply, alpha, beta, start)
-        expand = self.stats.on_expand((), len(children), self.cost_model)
+        expand = self.stats.on_expand(position, len(children), self.cost_model)
         now = start + expand
         if self.problem.should_sort(ply):
             expand_order = self.stats.on_ordering(len(children), self.cost_model)

@@ -95,7 +95,7 @@ class _Splitter:
         )
         if k <= 1 or not children:
             return self._serial_leaf(position, ply, alpha, beta, start)
-        expand = self.stats.on_expand((), len(children), self.cost_model)
+        expand = self.stats.on_expand(position, len(children), self.cost_model)
         distributed = self.distribute(
             children, ply + 1, k, alpha, beta, NEG_INF, start + expand
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
-from ..games.base import NEG_INF, POS_INF, Path, Position, SearchProblem
+from ..games.base import NEG_INF, POS_INF, Position, SearchProblem
 from .stats import SearchResult, SearchStats
 
 
@@ -49,7 +49,6 @@ def alphabeta(
     value, pv = _alphabeta(
         problem,
         problem.game.root(),
-        (),
         0,
         alpha,
         beta,
@@ -63,7 +62,6 @@ def alphabeta(
 def _alphabeta(
     problem: SearchProblem,
     position: Position,
-    path: Path,
     ply: int,
     alpha: float,
     beta: float,
@@ -74,10 +72,10 @@ def _alphabeta(
     game = problem.game
     children = () if problem.is_horizon(ply) else game.children(position)
     if not children:
-        stats.on_leaf(path, cost_model)
+        stats.on_leaf(position, cost_model)
         return game.evaluate(position), []
 
-    stats.on_expand(path, len(children), cost_model)
+    stats.on_expand(position, len(children), cost_model)
     if problem.should_sort(ply):
         stats.on_ordering(len(children), cost_model)
         static_values = [game.evaluate(child) for child in children]
@@ -93,7 +91,6 @@ def _alphabeta(
         child_value, child_line = _alphabeta(
             problem,
             children[index],
-            path + (index,),
             ply + 1,
             child_alpha,
             -floor,

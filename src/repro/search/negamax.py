@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
-from ..games.base import Path, Position, SearchProblem
+from ..games.base import Position, SearchProblem
 from .stats import SearchResult, SearchStats
 
 
@@ -28,29 +28,26 @@ def negamax(
     """
     if stats is None:
         stats = SearchStats()
-    value, pv = _negamax(problem, problem.game.root(), (), 0, cost_model, stats)
+    value, pv = _negamax(problem, problem.game.root(), 0, cost_model, stats)
     return SearchResult(value=value, stats=stats, pv=tuple(pv))
 
 
 def _negamax(
     problem: SearchProblem,
     position: Position,
-    path: Path,
     ply: int,
     cost_model: CostModel,
     stats: SearchStats,
 ) -> tuple[float, list[int]]:
     children = () if problem.is_horizon(ply) else problem.game.children(position)
     if not children:
-        stats.on_leaf(path, cost_model)
+        stats.on_leaf(position, cost_model)
         return problem.game.evaluate(position), []
-    stats.on_expand(path, len(children), cost_model)
+    stats.on_expand(position, len(children), cost_model)
     best = float("-inf")
     best_line: list[int] = []
     for index, child in enumerate(children):
-        child_value, child_line = _negamax(
-            problem, child, path + (index,), ply + 1, cost_model, stats
-        )
+        child_value, child_line = _negamax(problem, child, ply + 1, cost_model, stats)
         if -child_value > best:
             best = -child_value
             best_line = [index, *child_line]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
-from ..games.base import NEG_INF, POS_INF, Path, Position, SearchProblem
+from ..games.base import NEG_INF, POS_INF, Position, SearchProblem
 from .stats import SearchResult, SearchStats
 
 
@@ -37,9 +37,7 @@ def negascout(
         stats = SearchStats()
     if not alpha < beta:
         raise ValueError("negascout window requires alpha < beta")
-    value = _negascout(
-        problem, problem.game.root(), (), 0, alpha, beta, cost_model, stats
-    )
+    value = _negascout(problem, problem.game.root(), 0, alpha, beta, cost_model, stats)
     return SearchResult(value=value, stats=stats)
 
 
@@ -57,7 +55,6 @@ def _next_after(value: float) -> float:
 def _negascout(
     problem: SearchProblem,
     position: Position,
-    path: Path,
     ply: int,
     alpha: float,
     beta: float,
@@ -67,10 +64,10 @@ def _negascout(
     game = problem.game
     children = () if problem.is_horizon(ply) else game.children(position)
     if not children:
-        stats.on_leaf(path, cost_model)
+        stats.on_leaf(position, cost_model)
         return game.evaluate(position)
 
-    stats.on_expand(path, len(children), cost_model)
+    stats.on_expand(position, len(children), cost_model)
     order = list(range(len(children)))
     if problem.should_sort(ply):
         stats.on_ordering(len(children), cost_model)
@@ -81,24 +78,17 @@ def _negascout(
     first = True
     for index in order:
         child = children[index]
-        child_path = path + (index,)
         floor = max(alpha, best)
         if first:
-            value = -_negascout(
-                problem, child, child_path, ply + 1, -beta, -floor, cost_model, stats
-            )
+            value = -_negascout(problem, child, ply + 1, -beta, -floor, cost_model, stats)
             first = False
         else:
             # Scout probe: can this child even beat the current best?
             ceiling = _next_after(floor)
-            value = -_negascout(
-                problem, child, child_path, ply + 1, -ceiling, -floor, cost_model, stats
-            )
+            value = -_negascout(problem, child, ply + 1, -ceiling, -floor, cost_model, stats)
             if floor < value < beta:
                 # Unexpected fail-high: re-search with the true window.
-                value = -_negascout(
-                    problem, child, child_path, ply + 1, -beta, -value, cost_model, stats
-                )
+                value = -_negascout(problem, child, ply + 1, -beta, -value, cost_model, stats)
         if value > best:
             best = value
         if best >= beta:

@@ -10,10 +10,30 @@ means the same thing everywhere (see DESIGN.md §4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ..costmodel import CostModel
-from ..games.base import Game, Path, Position
+from ..games.base import Game, Position, hash_key
+
+
+class KeyTrace(list[tuple[int, float]]):
+    """A search's examination log: ``(hash_key, cost charged)`` per
+    examined position of ``game``."""
+
+    def __init__(self, game: Game) -> None:
+        super().__init__()
+        self.game = game
+
+
+#: The additive work counters of :class:`SearchStats`, in field order:
+#: what :meth:`~SearchStats.merge` sums and a multiproc task ships back.
+COUNTERS = (
+    "interior_visits", "leaf_evals", "ordering_evals", "nodes_generated", "cutoffs",
+    "tt_probes", "tt_stores", "static_evals", "batch_calls", "batch_leaves",
+    "eval_probes", "eval_hits", "eval_stores", "cost",
+)
+_counters = attrgetter(*COUNTERS)
 
 
 @dataclass
@@ -41,8 +61,10 @@ class SearchStats:
         eval_hits: evaluation-cache lookups that found a value.
         eval_stores: evaluation-cache entries written.
         cost: accumulated simulated time units.
-        trace: if not ``None``, the set of visited node paths — consumed by
-            the mandatory/speculative loss analysis (paper Section 3.1).
+        trace: if not ``None``, one ``(hash_key, cost charged)`` entry
+            per examined position (an expansion or a leaf evaluation) —
+            the input of the Section 3.1 loss analysis
+            (:mod:`repro.analysis.losses`).
     """
 
     interior_visits: int = 0
@@ -59,45 +81,45 @@ class SearchStats:
     eval_hits: int = 0
     eval_stores: int = 0
     cost: float = 0.0
-    trace: Optional[set[Path]] = None
+    trace: Optional[KeyTrace] = None
 
     @classmethod
-    def with_trace(cls) -> "SearchStats":
-        """A stats object that also records every visited node path."""
-        return cls(trace=set())
+    def with_trace(cls, game: Game) -> "SearchStats":
+        """A stats object that also logs every examined position of ``game``."""
+        return cls(trace=KeyTrace(game))
 
     # -- charging hooks -------------------------------------------------
 
-    def on_expand(self, path: Path, n_children: int, cost_model: CostModel) -> float:
-        """Record generating ``n_children`` successors of the node at ``path``.
+    def on_expand(self, position: Position, n_children: int, cost_model: CostModel) -> float:
+        """Record generating ``n_children`` successors of ``position``.
 
         Returns the cost charged, so simulated workers can also advance
         their local clocks by it.
         """
         self.interior_visits += 1
         self.nodes_generated += n_children
-        if self.trace is not None:
-            self.trace.add(path)
         charged = cost_model.expansion(n_children)
         self.cost += charged
+        if self.trace is not None:
+            self.trace.append((hash_key(self.trace.game, position), charged))
         return charged
 
-    def on_leaf(self, path: Path, cost_model: CostModel) -> float:
-        """Record statically evaluating the leaf at ``path``."""
+    def on_leaf(self, position: Position, cost_model: CostModel) -> float:
+        """Record statically evaluating the leaf ``position``."""
         self.leaf_evals += 1
         self.static_evals += 1
-        if self.trace is not None:
-            self.trace.add(path)
         charged = cost_model.static_eval
         self.cost += charged
+        if self.trace is not None:
+            self.trace.append((hash_key(self.trace.game, position), charged))
         return charged
 
-    def note_leaf(self, path: Path) -> float:
+    def note_leaf(self, position: Position) -> float:
         """Count a leaf evaluation whose cost was charged elsewhere
         (a batched frontier prefetch or an eval-cache hit)."""
         self.leaf_evals += 1
         if self.trace is not None:
-            self.trace.add(path)
+            self.trace.append((hash_key(self.trace.game, position), 0.0))
         return 0.0
 
     def on_ordering(self, n_children: int, cost_model: CostModel) -> float:
@@ -164,22 +186,10 @@ class SearchStats:
 
     def merge(self, other: "SearchStats") -> None:
         """Fold another accumulator into this one (for parallel workers)."""
-        self.interior_visits += other.interior_visits
-        self.leaf_evals += other.leaf_evals
-        self.ordering_evals += other.ordering_evals
-        self.nodes_generated += other.nodes_generated
-        self.cutoffs += other.cutoffs
-        self.tt_probes += other.tt_probes
-        self.tt_stores += other.tt_stores
-        self.static_evals += other.static_evals
-        self.batch_calls += other.batch_calls
-        self.batch_leaves += other.batch_leaves
-        self.eval_probes += other.eval_probes
-        self.eval_hits += other.eval_hits
-        self.eval_stores += other.eval_stores
-        self.cost += other.cost
+        for name, value in zip(COUNTERS, _counters(other)):
+            setattr(self, name, getattr(self, name) + value)
         if self.trace is not None and other.trace is not None:
-            self.trace.update(other.trace)
+            self.trace.extend(other.trace)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Optional, Protocol
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..errors import SearchError
-from ..games.base import NEG_INF, POS_INF, Path, Position, SearchProblem
+from ..games.base import NEG_INF, POS_INF, Position, SearchProblem
 from .stats import SearchResult, SearchStats
 
 
@@ -180,9 +180,7 @@ def alphabeta_tt(
         stats = SearchStats()
     if not alpha < beta:
         raise ValueError("alpha-beta window requires alpha < beta")
-    value = _ab_tt(
-        problem, table, problem.game.root(), (), 0, alpha, beta, cost_model, stats
-    )
+    value = _ab_tt(problem, table, problem.game.root(), 0, alpha, beta, cost_model, stats)
     return SearchResult(value=value, stats=stats)
 
 
@@ -190,7 +188,6 @@ def _ab_tt(
     problem: SearchProblem,
     table: TranspositionTable,
     position: Position,
-    path: Path,
     ply: int,
     alpha: float,
     beta: float,
@@ -207,12 +204,12 @@ def _ab_tt(
 
     children = () if problem.is_horizon(ply) else game.children(position)
     if not children:
-        stats.on_leaf(path, cost_model)
+        stats.on_leaf(position, cost_model)
         value = game.evaluate(position)
         table.store(position, TTEntry(value, remaining, Bound.EXACT, None))
         return value
 
-    stats.on_expand(path, len(children), cost_model)
+    stats.on_expand(position, len(children), cost_model)
     order = list(range(len(children)))
     if problem.should_sort(ply):
         stats.on_ordering(len(children), cost_model)
@@ -232,7 +229,6 @@ def _ab_tt(
             problem,
             table,
             children[index],
-            path + (index,),
             ply + 1,
             -beta,
             -max(alpha, best),
@@ -270,7 +266,7 @@ def iterative_deepening(
     if stats is None:
         stats = SearchStats()
     if problem.depth == 0:
-        stats.on_leaf((), cost_model)
+        stats.on_leaf(problem.game.root(), cost_model)
         return SearchResult(value=problem.game.evaluate(problem.game.root()), stats=stats)
     result: Optional[SearchResult] = None
     for depth in range(1, problem.depth + 1):

@@ -4,8 +4,8 @@ The paper decomposes imperfect efficiency into starvation, interference,
 and speculative loss (Section 3.1).  The first two are timing phenomena
 and come straight out of the engine: time blocked on :class:`WaitWork` is
 starvation, time blocked on :class:`Acquire` is interference.  Speculative
-loss is semantic and is computed separately by
-:mod:`repro.analysis.losses` from node traces.
+loss is semantic: :mod:`repro.analysis.losses` splits busy time by the
+positions each charge examined.
 
 The exact-tiling invariants (``accounted == finish_time`` and
 ``accounted + tail_idle == makespan``, checked to 1e-9 by the snapshot

@@ -62,7 +62,8 @@ class Compute(Op, metric="sim.ops.compute", loss="busy"):
     primitive (``tag``), a tree node (``node``), and the node's e/r
     classification at charge time (``cls``).  ``parts`` decomposes a
     mixed charge (e.g. a serial-subtree chunk) into raw
-    ``(primitive, weight)`` components.
+    ``(primitive, weight)`` components.  ``keys`` names the positions a
+    traced charge examined, for :mod:`repro.analysis.losses`.
     """
 
     units: float
@@ -70,6 +71,7 @@ class Compute(Op, metric="sim.ops.compute", loss="busy"):
     node: str = ""
     cls: str = ""
     parts: tuple[tuple[str, float], ...] = ()
+    keys: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.units < 0:

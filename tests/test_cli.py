@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,22 +83,29 @@ class TestExplain:
         start = next(i for i, line in enumerate(lines) if line.startswith("time split"))
         total = float(lines[start].rsplit("=", 1)[1].rstrip("):"))
         parts = {}
-        for line in lines[start + 1 : start + 6]:
+        for line in lines[start + 1 :]:
             name, amount, *_ = line.split()
-            if name != "speculative" or amount != "inside":
+            if amount != "not":
                 parts[name] = float(amount)
-        return total, parts
+            if name == "sum":
+                return total, parts
+        raise AssertionError("split has no sum row")
 
     def test_sim_split_is_conserved(self, capsys):
         assert main(["explain", "--workload", "R3", "--P", "4", "--skip-whatif"]) == 0
         out = capsys.readouterr().out
         total, parts = self._split(out)
-        assert set(parts) == {"busy", "starvation", "interference", "sum"}
-        accounted = parts["busy"] + parts["starvation"] + parts["interference"]
+        names = {"mandatory", "speculative", "overhead", "starvation", "interference"}
+        assert set(parts) == names | {"sum"}
+        accounted = sum(parts[name] for name in names)
         assert abs(accounted / total - 1.0) <= 1e-9
         assert abs(parts["sum"] / total - 1.0) <= 1e-9
-        # The simulator does not yet measure speculative work apart from busy.
-        assert "speculative   inside busy (not yet separated" in out
+        # Efficiency and the unclamped remainder follow the split.
+        efficiency, remainder = re.search(
+            r"^efficiency (\S+)  remainder (\S+)$", out, re.MULTILINE
+        ).groups()
+        mandatory_share = parts["mandatory"] / total
+        assert float(remainder) == pytest.approx(mandatory_share - float(efficiency), abs=2e-6)
 
     def test_sim_rejects_span_tracing(self, capsys):
         assert main(["explain", "--trace", "sampled", "--skip-whatif"]) == 2
@@ -111,7 +119,8 @@ class TestExplain:
         assert main(["explain", "--backend", "threaded", "-P", "2"]) == 0
         out = capsys.readouterr().out
         total, parts = self._split(out)
-        assert {"busy", "starvation", "interference", "speculative"} <= set(parts)
+        assert set(parts) == {"busy", "starvation", "interference", "sum"}
+        assert "speculative   not separated (item 4)" in out
         assert "critical path" not in out
 
     def test_multiproc_writes_trace_jsonl_record_and_split(self, tmp_path, capsys):
@@ -137,7 +146,7 @@ class TestExplain:
         (record_path,) = ledger_dir.glob("*.json")
         assert ledger.validate_record(json.loads(record_path.read_text())) == []
         total, parts = self._split(out)
-        assert {"busy", "starvation", "interference", "speculative", "sum"} == set(parts)
+        assert {"busy", "starvation", "interference", "sum"} == set(parts)
         assert "perfetto" in out.lower()
 
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from repro.core.er_parallel import ERConfig, parallel_er
 from repro.core.er_queues import SpecOrder
 from repro.core.serial_er import er_search
-from repro.costmodel import FRICTIONLESS_COST_MODEL
+from repro.costmodel import DEFAULT_COST_MODEL, FRICTIONLESS_COST_MODEL
 from repro.errors import SearchError, SimulationError
-from repro.games.base import SearchProblem
+from repro.games.base import SearchProblem, hash_key
 from repro.games.explicit import negmax_of_spec
 from repro.games.othello import O1_ROOT, Othello
 from repro.games.random_tree import RandomGameTree, SyntheticOrderedTree
@@ -180,8 +180,10 @@ class TestMechanisms:
         problem = random_problem(3, 4, seed=1)
         result = parallel_er(problem, 2, config=ERConfig(serial_depth=2), trace=True)
         assert result.stats.trace is not None
-        assert () in result.stats.trace
-        assert any(len(p) == 4 for p in result.stats.trace)
+        keys = {key for key, _ in result.stats.trace}
+        assert hash_key(problem.game, problem.game.root()) in keys
+        # Some horizon leaf (ply 4) was evaluated: a static_eval-priced entry.
+        assert any(cost == DEFAULT_COST_MODEL.static_eval for _, cost in result.stats.trace)
 
     def test_interference_grows_with_processors(self):
         """Lock contention is a real, measured phenomenon (Section 7)."""

@@ -61,25 +61,23 @@ class TestEndToEndPipeline:
         assert curve.serial.alphabeta.value == curve.serial.er.value
 
     def test_loss_pipeline_consistency(self):
-        """Loss fractions plus utilization must roughly account for the
-        processor-time budget."""
+        """Loss fractions plus the split busy time account for the
+        processor-time budget exactly."""
         from repro.analysis import loss_report, serial_baselines
-        from repro.search.stats import SearchStats
+        from repro.obs import critpath
         from repro.workloads import table3_suite
 
         spec = table3_suite("reduced")["R3"]
-        problem = spec.problem()
-        reference = SearchStats.with_trace()
-        alphabeta(problem, stats=reference)
-        base = serial_baselines(spec)
-        result = parallel_er(problem, 4, config=ERConfig(serial_depth=spec.serial_depth), trace=True)
-        report = loss_report(result, base.best_time, reference)
-        accounted = (
-            result.report.utilization
-            + report.starvation_fraction
-            + report.interference_fraction
-        )
-        assert accounted == pytest.approx(1.0, abs=0.05)
+        base = serial_baselines(spec, trace=True)
+        with critpath.recording() as recorder:
+            result = parallel_er(
+                spec.problem(), 4, config=ERConfig(serial_depth=spec.serial_depth), trace=True
+            )
+        report = loss_report(result, recorder.intervals, base.best_time, base.alphabeta.stats)
+        busy = report.busy_fraction + report.speculative_fraction + report.overhead_fraction
+        assert busy == pytest.approx(result.report.utilization, rel=1e-12)
+        accounted = busy + report.starvation_fraction + report.interference_fraction
+        assert accounted == pytest.approx(1.0, abs=1e-9)
 
     def test_er_beats_naive_split(self):
         """Sanity: the paper's algorithm must dominate the straw man."""

@@ -386,16 +386,17 @@ class TestAccounting:
             problem, 2, config=ERConfig(serial_depth=2), pool=pool
         )
         assert result.wall_time > 0
+        moot_fraction = result.busy_wasted_seconds / result.processor_seconds
         for fraction in (
             result.starvation_fraction,
             result.interference_fraction,
-            result.speculative_fraction,
+            moot_fraction,
         ):
             assert 0.0 <= fraction <= 1.0
         busy_fraction = result.busy_applied_seconds / result.processor_seconds
         total = (
             busy_fraction
-            + result.speculative_fraction
+            + moot_fraction
             + result.starvation_fraction
             + result.interference_fraction
         )
@@ -434,7 +435,7 @@ class TestScalingHelpers:
         assert all(p.result.value == truth for p in points)
         table = format_scaling_table("T1", serial_seconds, points)
         assert "T1" in table and "P=1" in table and "speedup" in table
-        assert "starvation=" in table and "speculative=" in table
+        assert "starvation=" in table and "moot=" in table
 
     def test_default_serial_depth_bounds(self):
         assert default_serial_depth(9) == 6

@@ -1,7 +1,7 @@
 """Unit tests for the negmax procedure (paper Section 2)."""
 
 from repro.costmodel import CostModel
-from repro.games.base import SearchProblem
+from repro.games.base import SearchProblem, hash_key
 from repro.games.explicit import ExplicitTree, negmax_of_spec
 from repro.games.random_tree import RandomGameTree
 from repro.search.negamax import negamax
@@ -86,6 +86,10 @@ class TestAccounting:
         assert stats.leaf_evals == 4
 
     def test_trace_records_all_paths(self):
-        stats = SearchStats.with_trace()
-        negamax(explicit_problem([[1, 2], [3, 4]]), stats=stats)
-        assert stats.trace == {(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)}
+        problem = explicit_problem([[1, 2], [3, 4]])
+        stats = SearchStats.with_trace(problem.game)
+        negamax(problem, stats=stats)
+        positions = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert sorted(key for key, _ in stats.trace) == sorted(
+            hash_key(problem.game, p) for p in positions
+        )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,7 @@ class TestAccounting:
             + snap.starvation_fraction
             + snap.interference_fraction
             + snap.speculative_fraction
+            + snap.overhead_fraction
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -262,6 +264,40 @@ class TestLedger:
         assert ledger.resolve(str(path), tmp_path) == record
         with pytest.raises(FileNotFoundError):
             ledger.resolve("feedface", tmp_path)
+
+    def test_record_from_modified_tree_says_dirty(self, sim_snapshot, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        tracked = repo / "search.py"
+        tracked.write_text("value = 1\n")
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=repo, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        git("add", "search.py")
+        git("commit", "-q", "-m", "one")
+        monkeypatch.chdir(repo)
+        clean = ledger.current_git_sha()
+        assert len(clean) == 40 and not clean.endswith(ledger.DIRTY)
+        (repo / "untracked.txt").write_text("scratch\n")  # untracked files do not count
+        assert ledger.current_git_sha() == clean
+        tracked.write_text("value = 2\n")
+        dirty = ledger.current_git_sha()
+        assert dirty == clean + ledger.DIRTY
+
+        ledger_dir = tmp_path / "ledger"
+        baseline = self._record(sim_snapshot)
+        baseline["git_sha"] = clean
+        candidate = self._record(sim_snapshot)  # recorded from the modified tree
+        assert candidate["git_sha"] == dirty
+        ledger.write_record(candidate, ledger_dir)
+        assert ledger.resolve(clean[:8], ledger_dir)["git_sha"] == dirty
+        header = ledger.compare_records(baseline, candidate).format().splitlines()[0]
+        assert f"@{clean[:10]} -> " in header and f"@{clean[:10]}-dirty" in header
 
     def test_identical_records_have_no_regressions(self, sim_snapshot):
         record = self._record(sim_snapshot)

@@ -13,6 +13,7 @@ from repro.core.er_parallel import ERConfig, parallel_er
 from repro.core.er_queues import SpecOrder
 from repro.core.serial_er import er_search
 from repro.costmodel import CostModel
+from repro.games.base import hash_key
 from repro.games.explicit import negmax_of_spec
 from repro.search.alphabeta import alphabeta
 from repro.search.minimal_tree import minimal_leaf_count_formula
@@ -151,7 +152,15 @@ class TestAccountingInvariantsFuzz:
     def test_parallel_trace_covers_root_region(self, spec, n):
         problem = explicit_problem(spec)
         result = parallel_er(problem, n, config=ERConfig(serial_depth=3), trace=True)
-        assert () in result.stats.trace
-        # The root's first child is always examined (it is mandatory work).
-        if problem.game.children(problem.game.root()):
-            assert any(p == (0,) or (p and p[0] == 0) for p in result.stats.trace)
+        game = problem.game
+        keys = {key for key, _ in result.stats.trace}
+        assert hash_key(game, game.root()) in keys
+        # The root's first child's subtree is always examined (mandatory work).
+        children = game.children(game.root())
+        if children:
+            subtree, stack = set(), [children[0]]
+            while stack:
+                position = stack.pop()
+                subtree.add(hash_key(game, position))
+                stack.extend(game.children(position))
+            assert keys & subtree

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.serial_er import er_search
-from repro.games.base import SearchProblem
+from repro.games.base import SearchProblem, hash_key
 from repro.games.explicit import FIGURE7, ExplicitTree, negmax_of_spec
 from repro.games.random_tree import IncrementalGameTree, RandomGameTree, SyntheticOrderedTree
 from repro.search.alphabeta import alphabeta
@@ -119,22 +119,23 @@ class TestBehaviour:
     def test_trace_collection(self):
         from repro.search.stats import SearchStats
 
-        stats = SearchStats.with_trace()
-        er_search(explicit_problem([[1, 2], [3, 4]]), stats=stats)
-        assert () in stats.trace
-        assert (0,) in stats.trace and (1,) in stats.trace
+        problem = explicit_problem([[1, 2], [3, 4]])
+        stats = SearchStats.with_trace(problem.game)
+        er_search(problem, stats=stats)
+        keys = {key for key, _ in stats.trace}
+        assert hash_key(problem.game, ()) in keys
+        assert hash_key(problem.game, (0,)) in keys and hash_key(problem.game, (1,)) in keys
 
     def test_trace_paths_follow_successor_order(self):
-        # Untraced records carry no path; a traced search must still name
-        # every node by successor indices in the game's order, also where
-        # sorting reorders the records.  Pinned bytes.
+        # A traced search names every examined node by its position key,
+        # whatever order sorting puts the records in.  Pinned bytes.
         from repro.search.stats import SearchStats
 
-        stats = SearchStats.with_trace()
         tree = IncrementalGameTree(4, 5, seed=1, noise=0.3)
+        stats = SearchStats.with_trace(tree)
         er_search(SearchProblem(tree, depth=5, sort_below_root=5), stats=stats)
         digest = hashlib.sha256(repr(sorted(stats.trace)).encode()).hexdigest()
         assert (digest, len(stats.trace)) == (
-            "79cecf7dc781294c7d105c8d80cc9ba08b3b60a905c46bdb3810ec6485b3db7b",
+            "3be23f8cd474ab164596e8a9314a1108179bd5c6697a12ebad177dae2298a0a3",
             198,
         )

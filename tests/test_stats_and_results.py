@@ -3,6 +3,8 @@
 import pytest
 
 from repro.costmodel import CostModel
+from repro.games.base import hash_key
+from repro.games.explicit import ExplicitTree
 from repro.parallel.base import ParallelResult
 from repro.search.stats import OrderingPolicy, SearchStats, argsort_by_static_value
 from repro.sim.metrics import ProcessorMetrics, SimReport
@@ -54,25 +56,32 @@ class TestSearchStats:
         assert a.cutoffs == 3
 
     def test_merge_traces(self):
-        a = SearchStats.with_trace()
-        b = SearchStats.with_trace()
-        a.trace.add((0,))
-        b.trace.add((1,))
+        game = ExplicitTree([[1, 2], [3]])
+        a = SearchStats.with_trace(game)
+        b = SearchStats.with_trace(game)
+        a.trace.append((10, 1.0))
+        b.trace.append((11, 2.0))
         a.merge(b)
-        assert a.trace == {(0,), (1,)}
+        assert a.trace == [(10, 1.0), (11, 2.0)]
 
     def test_merge_trace_into_untraced_is_ignored(self):
         a = SearchStats()
-        b = SearchStats.with_trace()
-        b.trace.add((1,))
+        b = SearchStats.with_trace(ExplicitTree([1]))
+        b.trace.append((11, 2.0))
         a.merge(b)
         assert a.trace is None
 
     def test_trace_records_visits(self):
-        stats = SearchStats.with_trace()
+        game = ExplicitTree([[1, 2], [3]])
+        stats = SearchStats.with_trace(game)
         stats.on_expand((0,), 2, CostModel())
         stats.on_leaf((0, 1), CostModel())
-        assert stats.trace == {(0,), (0, 1)}
+        stats.note_leaf((0, 0))
+        assert stats.trace == [
+            (hash_key(game, (0,)), 4.0),
+            (hash_key(game, (0, 1)), CostModel().static_eval),
+            (hash_key(game, (0, 0)), 0.0),
+        ]
 
 
 class TestOrderingHelpers:
