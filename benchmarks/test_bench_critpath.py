@@ -13,10 +13,12 @@ walk, so the number also tracks the recording/extraction overhead the
 
 from __future__ import annotations
 
-from repro.analysis.experiments import er_config_for
+import dataclasses
+
+from repro.analysis.experiments import er_config_for, serial_baselines
+from repro.analysis.losses import loss_report
 from repro.core.er_parallel import parallel_er
 from repro.obs import critpath, observing
-from repro.obs.snapshot import snapshot_from_sim
 from repro.workloads.suite import table3_suite
 
 N_PROCESSORS = 4
@@ -29,7 +31,7 @@ def test_sim_critpath(benchmark, scale, record_table, record_ledger):
 
     def run():
         with observing() as bus, critpath.recording() as rec:
-            result = parallel_er(problem, N_PROCESSORS, config=config)
+            result = parallel_er(problem, N_PROCESSORS, config=config, trace=True)
         return bus, rec, result
 
     bus, rec, result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -43,8 +45,13 @@ def test_sim_critpath(benchmark, scale, record_table, record_ledger):
         ).rstrip("\n"),
     )
 
-    snap = snapshot_from_sim(
-        result, workload=spec.name, bus=bus, critpath=path.composition()
+    serial = serial_baselines(spec, trace=True)
+    snap = dataclasses.replace(
+        loss_report(
+            result, rec.intervals, serial.best_time, serial.alphabeta.stats,
+            workload=spec.name, bus=bus,
+        ),
+        critpath=path.composition(),
     )
     violations = snap.check_accounting()
     assert violations == [], "\n".join(violations)

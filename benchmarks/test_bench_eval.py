@@ -19,12 +19,12 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 
-from repro.analysis.experiments import er_config_for
+from repro.analysis.experiments import er_config_for, serial_baselines
+from repro.analysis.losses import loss_report
 from repro.core.er_parallel import parallel_er
 from repro.costmodel import DEFAULT_COST_MODEL
 from repro.eval import make_eval_cache
 from repro.obs import critpath, ledger, observing, whatif
-from repro.obs.snapshot import snapshot_from_sim
 from repro.workloads.suite import table3_suite
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -52,7 +52,7 @@ def test_eval_predicted_vs_actual(benchmark, scale, record_table):
 
     def run():
         with observing() as bus, critpath.recording() as rec:
-            base = parallel_er(problem, N_PROCESSORS, config=config)
+            base = parallel_er(problem, N_PROCESSORS, config=config, trace=True)
         path = critpath.extract(rec, base.sim_time)
         batched = parallel_er(problem, N_PROCESSORS, config=config, batch_eval=True)
         cached = parallel_er(
@@ -62,9 +62,11 @@ def test_eval_predicted_vs_actual(benchmark, scale, record_table):
             eval_cache=make_eval_cache("shared"),
             batch_eval=True,
         )
-        return bus, path, base, batched, cached
+        return bus, rec, path, base, batched, cached
 
-    bus, path, base, batched, cached = benchmark.pedantic(run, rounds=1, iterations=1)
+    bus, rec, path, base, batched, cached = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
     assert path.length == base.sim_time
     assert batched.value == base.value
     assert cached.value == base.value
@@ -123,8 +125,13 @@ def test_eval_predicted_vs_actual(benchmark, scale, record_table):
     # Freeze the pair into the committed ledger so compare can diff
     # prediction quality across PRs (distinct name: the critpath
     # benchmark owns the plain sim_R3_P4 record at this SHA).
-    snap = snapshot_from_sim(
-        base, workload=spec.name, bus=bus, critpath=path.composition()
+    serial = serial_baselines(spec, trace=True)
+    snap = dataclasses.replace(
+        loss_report(
+            base, rec.intervals, serial.best_time, serial.alphabeta.stats,
+            workload=spec.name, bus=bus,
+        ),
+        critpath=path.composition(),
     )
     violations = snap.check_accounting()
     assert violations == [], "\n".join(violations)

@@ -17,6 +17,7 @@ import argparse
 
 from repro import loss_report, parallel_er
 from repro.analysis.experiments import er_config_for, serial_baselines
+from repro.analysis.gantt import render_gantt
 from repro.obs import critpath
 from repro.workloads.suite import table3_suite
 
@@ -48,9 +49,13 @@ def main() -> None:
     base = serial_baselines(spec, trace=True)
     legend = "  ".join(f"{glyph} {name}" for name, glyph in GLYPHS.items())
     print(f"{'P':>3} {'efficiency':>10} {'remainder':>10}  time budget  [{legend}]")
+    gantt = ""
     for n in (1, 2, 4, 8, 16):
         with critpath.recording() as recorder:
             result = parallel_er(spec.problem(), n, config=er_config_for(spec), trace=True)
+        if n == 8:
+            # The same story per processor over time, as a schedule chart.
+            gantt = render_gantt(result.report, recorder.intervals, width=68)
         snap = loss_report(result, recorder.intervals, base.best_time, base.alphabeta.stats)
         shares = {
             "mandatory": snap.busy_fraction,
@@ -73,14 +78,8 @@ def main() -> None:
     print("  - remainder = mandatory share - efficiency: the mandatory work's")
     print("    time against the best serial algorithm's, printed unclamped.")
 
-    # And the same story per processor over time, as a schedule chart.
-    from repro.analysis.gantt import render_gantt
-
     print("\nschedule of the 8-processor run:")
-    timed = parallel_er(
-        spec.problem(), 8, config=er_config_for(spec), record_timeline=True
-    )
-    print(render_gantt(timed.report, width=68))
+    print(gantt)
 
 
 if __name__ == "__main__":

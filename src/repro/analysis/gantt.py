@@ -1,9 +1,11 @@
 """ASCII Gantt charts of simulated parallel schedules.
 
-Renders an engine run recorded with ``record_timeline=True`` as one text
-row per processor, showing at a glance *where* the Section 3.1 losses
-live: the starving tail of a refutation chain, the lock convoy at a hot
-combine, the idle processors before speculation kicks in.
+Renders the schedule a :class:`~repro.obs.critpath.ScheduleRecorder`
+captured during an engine run, the one record of the simulated
+schedule, as one text row per processor, showing at a glance *where*
+the Section 3.1 losses live: the starving tail of a refutation chain,
+the lock convoy at a hot combine, the idle processors before
+speculation kicks in.
 
 Legend: ``#`` busy · ``.`` starving (empty heap) · ``!`` blocked on a
 lock · `` `` (space) idle after the processor's last event.
@@ -21,35 +23,32 @@ and load it in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..errors import SimulationError
-from ..obs.critpath import CriticalPath
-from ..sim.metrics import ProcessorMetrics, SimReport
+from ..obs.critpath import BUSY, LOCK_WAIT, STARVE, CriticalPath, Interval, by_processor
+from ..sim.metrics import SimReport
 
-_GLYPHS = {"busy": "#", "starve": ".", "lock": "!"}
-_PRECEDENCE = {"lock": 3, "busy": 2, "starve": 1}
+_GLYPHS = {BUSY: "#", STARVE: ".", LOCK_WAIT: "!"}
+_PRECEDENCE = {LOCK_WAIT: 3, BUSY: 2, STARVE: 1}
 
 
-def _row(metrics: ProcessorMetrics, makespan: float, width: int) -> str:
-    if metrics.timeline is None:
-        raise SimulationError(
-            "no timeline recorded; run with record_timeline=True"
-        )
+def _row(intervals: list[Interval], makespan: float, width: int) -> str:
     if makespan <= 0:
         return " " * width
     # Each cell shows the state that occupied the majority of its time
     # slice, so a 1-unit lock wait cannot paint over a 500-unit slice.
     bucket = makespan / width
-    occupancy = [{"busy": 0.0, "starve": 0.0, "lock": 0.0} for _ in range(width)]
-    for kind, start, end in metrics.timeline:
+    occupancy = [{BUSY: 0.0, STARVE: 0.0, LOCK_WAIT: 0.0} for _ in range(width)]
+    for iv in intervals:
+        start, end = iv.start, iv.end
         first = min(width - 1, int(start / bucket))
         last = min(width - 1, int(max(start, end - 1e-12) / bucket))
         for i in range(first, last + 1):
             lo = max(start, i * bucket)
             hi = min(end, (i + 1) * bucket)
             if hi > lo:
-                occupancy[i][kind] += hi - lo
+                occupancy[i][iv.kind] += hi - lo
     cells = []
     for slots in occupancy:
         total = sum(slots.values())
@@ -86,23 +85,31 @@ def _critpath_row(critpath: CriticalPath, pid: int, makespan: float, width: int)
 
 
 def render_gantt(
-    report: SimReport, width: int = 72, *, critpath: Optional[CriticalPath] = None
+    report: SimReport,
+    intervals: Iterable[Interval],
+    width: int = 72,
+    *,
+    critpath: Optional[CriticalPath] = None,
 ) -> str:
     """Render every processor's schedule as one line of ``width`` chars.
 
     Args:
-        report: engine report recorded with ``record_timeline=True``.
+        report: the run's engine report; only its makespan and processor
+            count are read.
+        intervals: the run's recorded schedule
+            (:attr:`~repro.obs.critpath.ScheduleRecorder.intervals`).
         width: chart width in characters.
         critpath: extracted critical path to overlay — adds one ``^``
             marker row under each processor row.
     """
     if width < 8:
         raise SimulationError("gantt width must be at least 8 characters")
+    by_pid = by_processor(intervals)
     lines = [
         f"t=0 {'-' * (width - 8)} t={report.makespan:.0f}",
     ]
-    for pid, metrics in enumerate(report.processors):
-        lines.append(f"P{pid:<2d} {_row(metrics, report.makespan, width)}")
+    for pid in range(report.n_processors):
+        lines.append(f"P{pid:<2d} {_row(by_pid.get(pid, []), report.makespan, width)}")
         if critpath is not None:
             lines.append(f"    {_critpath_row(critpath, pid, report.makespan, width)}")
     legend = "legend: # busy   . starving   ! lock-blocked   (blank) finished"

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from .obs.critpath import CriticalPath
+    from .obs.critpath import ScheduleRecorder
     from .obs.events import EventBus
     from .obs.live import LiveTrace
     from .obs.snapshot import Snapshot
@@ -137,14 +137,14 @@ def _observed_run(
     eval_mode: str = "off",
     batch: bool = False,
     trace: str = "off",
-) -> "tuple[EventBus, Snapshot, SimReport | None, LiveTrace | None, CriticalPath | None]":
+) -> "tuple[EventBus, Snapshot, SimReport | None, LiveTrace | None, ScheduleRecorder | None]":
     """Run one tree on one backend under a telemetry bus.
 
-    Returns ``(bus, snapshot, sim_report, live, critpath)``.  On the
-    simulated backend the traced run is recorded with per-processor
-    timelines (the Perfetto tracks and the Gantt rows) under a schedule
-    recorder, ``critpath`` is its extracted critical path, and the
-    snapshot splits its busy time (:mod:`repro.analysis.losses`); ``live`` is the
+    Returns ``(bus, snapshot, sim_report, live, schedule)``.  On the
+    simulated backend the traced run is recorded under a schedule
+    recorder, ``schedule``, which the critical path, the Perfetto tracks
+    and the Gantt rows all read, and the snapshot splits its busy time
+    (:mod:`repro.analysis.losses`); ``live`` is the
     merged wall-clock span timeline when a real backend ran with
     ``trace`` enabled.  Each call builds a fresh eval cache, so the
     telemetry run is self-contained.
@@ -161,15 +161,14 @@ def _observed_run(
                 result = parallel_er(
                     problem, count, config=config, tt=make_tt(tt_mode),
                     eval_cache=make_eval_cache(eval_mode), batch_eval=batch,
-                    record_timeline=True, trace=True,
+                    trace=True,
                 )
             base = serial_baselines(spec, trace=True)
             snap = loss_report(
                 result, recorder.intervals, base.best_time, base.alphabeta.stats,
                 workload=spec.name, bus=bus,
             )
-            path = critpath.extract(recorder, result.sim_time)
-            return bus, snap, result.report, None, path
+            return bus, snap, result.report, None, recorder
         if backend == "threaded":
             from .parallel.threaded import threaded_er_observed
 
@@ -348,7 +347,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     one ledger record.
     """
     from .costmodel import CostModel
-    from .obs import export, whatif
+    from .obs import critpath, export, whatif
     from .obs.snapshot import render_split
 
     sim = args.backend == "sim"
@@ -356,11 +355,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print("explain: --trace applies to the real backends only", file=sys.stderr)
         return 2
     if args.gantt and not sim:
-        print("explain: --gantt needs the sim backend's exact timelines", file=sys.stderr)
+        print("explain: --gantt needs the sim backend's recorded schedule", file=sys.stderr)
         return 2
     spec = table3_suite(args.scale)[args.tree]
     count = args.processors_single
-    bus, snap, report, live, cp = _observed_run(
+    bus, snap, report, live, schedule = _observed_run(
         spec, args.backend, count, eval_mode=args.eval_cache,
         batch=args.batch_eval, trace=args.trace,
     )
@@ -379,22 +378,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return 1
 
     points: list[whatif.WhatIfPoint] = []
-    if cp is not None:
+    cp = None
+    if schedule is not None and report is not None:
         from .analysis.gantt import render_gantt
-        from .obs.critpath import render_report
 
+        cp = critpath.extract(schedule, report.makespan)
         print()
         title = f"{spec.name} sim P={count} ({args.scale} scale)"
-        print(render_report(cp, title=title, top=args.top), end="")
+        print(critpath.render_report(cp, title=title, top=args.top), end="")
         if cp.length != cp.makespan:
             print(
                 f"explain: path length {cp.length!r} != makespan {cp.makespan!r}",
                 file=sys.stderr,
             )
             return 1
-        if args.gantt and report is not None:
+        if args.gantt:
             print()
-            print(render_gantt(report, critpath=cp))
+            print(render_gantt(report, schedule.intervals, critpath=cp))
         if not args.skip_whatif:
             config = er_config_for(spec)
 
@@ -424,6 +424,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             args.trace_out,
             bus.events,
             report=report,
+            schedule=schedule.intervals if schedule is not None else (),
             time_unit=snap.time_unit,
             critpath=cp,
             live=live,

@@ -1262,7 +1262,6 @@ def parallel_er(
     config: ERConfig = ERConfig(),
     cost_model: CostModel = DEFAULT_COST_MODEL,
     trace: bool = False,
-    record_timeline: bool = False,
     tt: Optional[AnyTT] = None,
     eval_cache: Optional[AnyTT] = None,
     batch_eval: bool = False,
@@ -1278,8 +1277,6 @@ def parallel_er(
             computing speedups.
         trace: log every examined position and its cost (enables the loss
             analysis of :mod:`repro.analysis.losses`, at some memory cost).
-        record_timeline: record per-processor (kind, start, end) schedule
-            intervals for :func:`repro.analysis.gantt.render_gantt`.
         tt: optional shared or per-worker transposition table
             (:func:`repro.cache.make_tt`); a shared table passed across
             successive calls carries results between runs, which is where
@@ -1315,9 +1312,7 @@ def parallel_er(
         )
         worker_stats = [ctx.new_stats() for _ in range(n_processors)]
         workers = [_worker(ctx, worker_stats[i], pid=i) for i in range(n_processors)]
-        report = Engine(
-            workers, max_events=config.max_events, record_timeline=record_timeline
-        ).run()
+        report = Engine(workers, max_events=config.max_events).run()
     finally:
         if bus is not None:
             bus.use_clock(prev_clock)

@@ -52,7 +52,6 @@ from .events import (
     EV_NODE_CREATED,
     EV_NODE_DONE,
     EV_NODE_POPPED,
-    EV_PROC_INTERVAL,
     EV_QUEUE_DEPTH,
     EV_TASK_RESULT,
     EV_TASK_SUBMIT,
@@ -71,7 +70,6 @@ __all__ = [
     "EV_NODE_CREATED",
     "EV_NODE_DONE",
     "EV_NODE_POPPED",
-    "EV_PROC_INTERVAL",
     "EV_QUEUE_DEPTH",
     "EV_TASK_RESULT",
     "EV_TASK_SUBMIT",
@@ -115,7 +113,9 @@ def self_check() -> list[str]:
     if not bus.events:
         problems.append("event bus recorded no events during a parallel run")
 
-    trace_text = export.render_chrome_trace(bus.events, report=result.report)
+    trace_text = export.render_chrome_trace(
+        bus.events, report=result.report, schedule=rec.intervals
+    )
     try:
         payload = json.loads(trace_text)
     except json.JSONDecodeError as exc:  # pragma: no cover - would be a bug

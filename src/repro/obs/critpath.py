@@ -28,9 +28,10 @@ length equals the makespan *exactly*, by construction — asserted, not
 approximated.  Everything here is pure arithmetic over the recorded
 floats, so reports and overlays are byte-deterministic at a fixed seed.
 
-The walker never imports :mod:`repro.sim` (the engine imports *us*);
-the interval kind strings below deliberately mirror
-``repro.sim.metrics.BUSY/LOCK_WAIT/STARVE``.
+The recorder is the one record of the simulated schedule: the Gantt
+chart (:mod:`repro.analysis.gantt`), the Perfetto schedule tracks
+(:mod:`repro.obs.export`) and the §3.1 loss split
+(:mod:`repro.analysis.losses`) all read its intervals.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import SimulationError
 from . import events as _events
 
-#: Interval kind strings — same vocabulary as ``repro.sim.metrics``.
+#: Interval kinds: a processor-instant is busy, lock-blocked or starving.
 BUSY = "busy"
 LOCK_WAIT = "lock"
 STARVE = "starve"
@@ -125,6 +126,14 @@ class ScheduleRecorder:
     def on_pop(self, queue: str, node: str) -> None:
         """Record which heap queue handed out a tree node."""
         self.node_queue[node] = queue
+
+
+def by_processor(intervals: Iterable[Interval]) -> dict[int, list[Interval]]:
+    """Group recorded intervals per processor, keeping recording order."""
+    out: dict[int, list[Interval]] = {}
+    for iv in intervals:
+        out.setdefault(iv.wid, []).append(iv)
+    return out
 
 
 @contextmanager
@@ -241,9 +250,7 @@ def extract(recorder: ScheduleRecorder, makespan: float) -> CriticalPath:
             disagree — a bug, not a data condition).
     """
     eps = 1e-9 * max(1.0, makespan)
-    by_wid: dict[int, list[Interval]] = {}
-    for iv in recorder.intervals:
-        by_wid.setdefault(iv.wid, []).append(iv)
+    by_wid = by_processor(recorder.intervals)
     for ivs in by_wid.values():
         ivs.sort(key=lambda iv: (iv.start, iv.end))
     starts = {wid: [iv.start for iv in ivs] for wid, ivs in by_wid.items()}

@@ -53,10 +53,6 @@ EV_TASK_SUBMIT = "task-submit"
 EV_TASK_RESULT = "task-result"
 #: The game engine chose a move (`depth`, `cost`, `move_index`).
 EV_ENGINE_CHOICE = "engine-choice"
-#: One processor schedule interval, synthesized by the exporters from a
-#: :class:`~repro.sim.metrics.ProcessorMetrics` timeline
-#: (`kind` of busy / lock / starve, `start`, `end`).
-EV_PROC_INTERVAL = "proc-interval"
 #: A transposition-table probe at the parallel level (`stripe`, `hit`).
 #: Serial-subtree probes are counted in the table's own counters but not
 #: re-emitted per probe — they would dominate the event stream.
@@ -93,7 +89,6 @@ EVENT_TYPES: Mapping[str, str] = {
     EV_TASK_SUBMIT: "tasks.submitted",
     EV_TASK_RESULT: "tasks.completed",
     EV_ENGINE_CHOICE: "engine.choices",
-    EV_PROC_INTERVAL: "proc.intervals",
     EV_TT_PROBE: "tt.probes",
     EV_TT_STORE: "tt.stores",
     EV_TT_CONTENTION: "tt.contention",

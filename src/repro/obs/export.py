@@ -6,8 +6,9 @@ terminal look; for deep dives the same schedule is better explored in
 load the Chrome trace-event JSON format emitted here:
 
 * per-processor ``"X"`` (complete) events for the busy / lock-wait /
-  starve-wait intervals of a :class:`~repro.sim.metrics.ProcessorMetrics`
-  timeline (one track per processor);
+  starve-wait intervals a :class:`~repro.obs.critpath.ScheduleRecorder`
+  captured, the one record of the simulated schedule (one track per
+  processor);
 * ``"C"`` (counter) events for queue depths from the event bus;
 * ``"i"`` (instant) events for node lifecycle, classification flips, and
   task flow;
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping, Optional, Union
 from ..sim.metrics import SimReport
 from . import events as _events
 from .critpath import BUSY as _CP_BUSY
-from .critpath import UNTAGGED, CriticalPath
+from .critpath import UNTAGGED, CriticalPath, Interval, by_processor
 from .live import COORDINATOR, LiveTrace, WorkerSpan, split_span_name
 from .reqtrace import RequestTrace
 from .snapshot import SECONDS, SIM_UNITS
@@ -79,9 +80,10 @@ def _scale_for(time_unit: str) -> float:
     return 1e6 if time_unit == SECONDS else 1.0
 
 
-def _timeline_events(report: SimReport) -> list[TraceEvent]:
+def _schedule_events(report: SimReport, intervals: Iterable[Interval]) -> list[TraceEvent]:
+    by_pid = by_processor(intervals)
     out: list[TraceEvent] = []
-    for pid, proc in enumerate(report.processors):
+    for pid in range(report.n_processors):
         out.append(
             {
                 "ph": "M",
@@ -91,16 +93,16 @@ def _timeline_events(report: SimReport) -> list[TraceEvent]:
                 "args": {"name": f"P{pid}"},
             }
         )
-        for kind, start, end in proc.timeline or []:
+        for iv in by_pid.get(pid, []):
             out.append(
                 {
                     "ph": "X",
-                    "name": kind,
+                    "name": iv.kind,
                     "cat": _CAT_PROC,
                     "pid": 0,
                     "tid": pid,
-                    "ts": start,
-                    "dur": end - start,
+                    "ts": iv.start,
+                    "dur": iv.end - iv.start,
                 }
             )
     return out
@@ -233,20 +235,6 @@ def _bus_events(
                     "args": {"depth": event.data.get("depth", 0)},
                 }
             )
-        elif event.etype == _events.EV_PROC_INTERVAL:
-            start = float(event.data.get("start", event.ts))  # type: ignore[arg-type]
-            end = float(event.data.get("end", event.ts))  # type: ignore[arg-type]
-            out.append(
-                {
-                    "ph": "X",
-                    "name": str(event.data.get("kind", "busy")),
-                    "cat": _CAT_PROC,
-                    "pid": 0,
-                    "tid": event.task,
-                    "ts": (start - offset) * scale,
-                    "dur": (end - start) * scale,
-                }
-            )
         else:
             out.append(
                 {
@@ -267,6 +255,7 @@ def render_chrome_trace(
     events: Iterable[_events.ObsEvent],
     *,
     report: Optional[SimReport] = None,
+    schedule: Iterable[Interval] = (),
     time_unit: str = SIM_UNITS,
     metadata: Optional[Mapping[str, object]] = None,
     critpath: Optional[CriticalPath] = None,
@@ -276,8 +265,11 @@ def render_chrome_trace(
 
     Args:
         events: bus events of the run (may be empty).
-        report: engine report whose per-processor timelines become the
-            schedule tracks (simulated backend only).
+        report: engine report of a simulated run; its processor count
+            names one schedule track per processor.
+        schedule: the run's recorded intervals
+            (:attr:`~repro.obs.critpath.ScheduleRecorder.intervals`),
+            drawn on those tracks.
         time_unit: denomination of the event timestamps —
             :data:`~repro.obs.snapshot.SIM_UNITS` maps one unit to one
             microsecond and keeps absolute times (byte-stable for a
@@ -313,7 +305,7 @@ def render_chrome_trace(
         }
     ]
     if report is not None:
-        trace_events.extend(_timeline_events(report))
+        trace_events.extend(_schedule_events(report, schedule))
     trace_events.extend(_bus_events(event_list, scale=_scale_for(time_unit), offset=offset))
     if critpath is not None:
         trace_events.extend(_critpath_events(critpath))
@@ -332,6 +324,7 @@ def write_chrome_trace(
     events: Iterable[_events.ObsEvent],
     *,
     report: Optional[SimReport] = None,
+    schedule: Iterable[Interval] = (),
     time_unit: str = SIM_UNITS,
     metadata: Optional[Mapping[str, object]] = None,
     critpath: Optional[CriticalPath] = None,
@@ -342,8 +335,8 @@ def write_chrome_trace(
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(
         render_chrome_trace(
-            events, report=report, time_unit=time_unit, metadata=metadata,
-            critpath=critpath, live=live,
+            events, report=report, schedule=schedule, time_unit=time_unit,
+            metadata=metadata, critpath=critpath, live=live,
         ),
         encoding="utf-8",
     )

@@ -618,16 +618,14 @@ def _compare_latency(
 
 def _series_point(summary: Record) -> Record:
     """One per-PR sample for the makespan/nodes/efficiency series."""
-    fractions = summary.get("fractions")
     work = summary.get("work")
-    efficiency = fractions.get("busy") if isinstance(fractions, dict) else None
     nodes = work.get("nodes_examined") if isinstance(work, dict) else None
     return {
         "git_sha": summary.get("git_sha"),
         "created_at": summary.get("created_at"),
         "makespan": summary.get("makespan"),
         "nodes": nodes,
-        "efficiency": efficiency,
+        "efficiency": summary.get("efficiency"),
     }
 
 
@@ -663,6 +661,9 @@ def aggregate(directory: Union[str, Path], out_path: Optional[Union[str, Path]] 
             "value": snapshot.get("value"),
             "fractions": snapshot.get("fractions"),
             "work": snapshot.get("work"),
+            # Best serial cost over processors x makespan; None for a
+            # record that carries no serial_cost.
+            "efficiency": Snapshot.from_dict(snapshot).efficiency,
         }
         critpath = snapshot.get("critpath")
         if isinstance(critpath, dict) and critpath:

@@ -64,17 +64,10 @@ class Engine:
         self,
         workers: Iterable[Worker],
         max_events: int = 50_000_000,
-        record_timeline: bool = False,
     ) -> None:
         self._procs = [_Proc(worker=w) for w in workers]
         if not self._procs:
             raise SimulationError("engine needs at least one worker")
-        # An attached telemetry bus implies timelines: the Perfetto
-        # exporter renders them as the per-processor schedule tracks.
-        p = _probe.CURRENT
-        if record_timeline or (p is not None and p.bus is not None):
-            for proc in self._procs:
-                proc.metrics.timeline = []
         self._max_events = max_events
         self.now = 0.0
         #: Worker currently driven by the run loop; grant/wake calls made
@@ -98,8 +91,6 @@ class Engine:
         if proc.state is not _State.BLOCKED_WORK:
             raise SimulationError(f"worker {wid} woken but not waiting on {signal.name!r}")
         proc.metrics.starve_wait += self.now - proc.blocked_since
-        if proc.metrics.timeline is not None and self.now > proc.blocked_since:
-            proc.metrics.timeline.append(("starve", proc.blocked_since, self.now))
         p = _probe.CURRENT
         if p is not None:
             p.unblocked(
@@ -113,8 +104,6 @@ class Engine:
         proc = self._procs[wid]
         proc.held.append(lock.name)
         proc.metrics.lock_wait += self.now - proc.blocked_since
-        if proc.metrics.timeline is not None and self.now > proc.blocked_since:
-            proc.metrics.timeline.append(("lock", proc.blocked_since, self.now))
         p = _probe.CURRENT
         if p is not None:
             p.unblocked(
@@ -132,8 +121,6 @@ class Engine:
             p.dispatched(wid, op, self.now)
         if isinstance(op, Compute):
             proc.metrics.busy += op.units
-            if proc.metrics.timeline is not None and op.units > 0:
-                proc.metrics.timeline.append(("busy", self.now, self.now + op.units))
             self._schedule(wid, self.now + op.units)
         elif isinstance(op, Acquire):
             lock = op.lock
@@ -215,7 +202,7 @@ class Engine:
         prev_clock = None
         if bus is not None:
             # Telemetry emitted during this run is stamped in simulated
-            # time, so traces line up with the engine's own timelines.
+            # time, so traces line up with the recorded schedule.
             prev_clock = bus.use_clock(lambda: self.now)
         try:
             while self._queue:

@@ -20,21 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-#: Timeline interval kinds (when the engine records timelines).
-BUSY = "busy"
-LOCK_WAIT = "lock"
-STARVE = "starve"
-
-
 @dataclass
 class ProcessorMetrics:
-    """Time accounting for one simulated processor.
-
-    ``timeline`` is populated only when the engine runs with
-    ``record_timeline=True``: a list of ``(kind, start, end)`` intervals
-    with kind one of :data:`BUSY`, :data:`LOCK_WAIT`, :data:`STARVE`,
-    consumed by :func:`repro.analysis.gantt.render_gantt`.
-    """
+    """Time accounting for one simulated processor."""
 
     busy: float = 0.0
     lock_wait: float = 0.0
@@ -47,7 +35,6 @@ class ProcessorMetrics:
     #: it.  Invariant: ``accounted == finish_time`` and
     #: ``accounted + tail_idle == makespan``.
     tail_idle: float = 0.0
-    timeline: list[tuple[str, float, float]] | None = None
 
     @property
     def accounted(self) -> float:
